@@ -230,10 +230,11 @@ class _MetamorphicOracle(Oracle):
             query_index=index + 1,
             own_digest=own_fp.digest,
             variant_digest=variant_fp.digest,
-            flaw=find_predicate_flaw(self.dbms, self.oracle_kind),
         )
         if finding.key in self._seen:
             return None
+        # attributed only once new: most divergences re-break a known law
+        finding.flaw = find_predicate_flaw(self.dbms, self.oracle_kind)
         self._seen.add(finding.key)
         self._findings.append(finding)
         return finding

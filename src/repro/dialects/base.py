@@ -16,6 +16,8 @@ from ..engine.casting import TypeLimits
 from ..engine.connection import Server
 from ..engine.context import ExecutionContext
 from ..engine.functions import FunctionRegistry, build_base_registry
+from .bugs import declare_bugs, declare_logic_flaws, make_trigger
+from .flaws import PREDICATE_KINDS, PREDICATE_KNOBS, install_flaw, install_logic_flaw
 
 
 @dataclass(frozen=True)
@@ -58,21 +60,23 @@ class Dialect:
     version = "1.0"
     #: simulated thread-stack depth
     stack_depth = 256
+    #: injected-bug rows (see :func:`~repro.dialects.bugs.declare_bugs`)
+    bug_rows: Sequence[tuple] = ()
+    #: wrong-result / over-strict defect rows (see
+    #: :func:`~repro.dialects.bugs.declare_logic_flaws`), installed only when
+    #: a logic-bug oracle asks for them
+    logic_flaw_rows: Sequence[tuple] = ()
 
     def __init__(self) -> None:
         self.limits = self.make_limits()
         self.config_defaults = self.make_config()
         self.registry = build_base_registry()
         self.customize_registry(self.registry)
+        self.bugs = declare_bugs(self.name, self.bug_rows)
         self.inject_bugs(self.registry)
-        # logic flaws are declared eagerly (they are ground truth for the
-        # logic-bug oracles) but installed only on demand — the default
-        # crash-only pipeline keeps this dialect's behaviour untouched
-        from .bugs import register_logic_flaws
-
-        self.logic_flaws = register_logic_flaws(
-            self.name, self.declare_logic_flaws()
-        )
+        # logic flaws are installed only on demand — the default crash-only
+        # pipeline keeps this dialect's behaviour untouched
+        self.logic_flaws = declare_logic_flaws(self.name, self.logic_flaw_rows)
         self._logic_flaws_installed = False
         self._predicate_flaws_installed: set = set()
 
@@ -88,12 +92,8 @@ class Dialect:
 
     def inject_bugs(self, registry: FunctionRegistry) -> None:
         """Patch flawed implementations (the dialect's injected bugs)."""
-
-    def declare_logic_flaws(self) -> List[tuple]:
-        """Rows for :func:`~repro.dialects.bugs.register_logic_flaws` —
-        wrong-result / over-strict defects installed only when a logic-bug
-        oracle asks for them."""
-        return []
+        for bug in self.bugs:
+            install_flaw(registry, bug.function, make_trigger(bug.trigger_spec), bug.crash)
 
     def install_logic_flaws(self, predicate_kinds: Sequence[str] = ()) -> None:
         """Patch the declared logic flaws into this instance's registry.
@@ -110,9 +110,6 @@ class Dialect:
         instance (campaign runner, oracle arms, minimizer probes) carries
         the defect.
         """
-        from .bugs import make_trigger
-        from .flaws import PREDICATE_KINDS, PREDICATE_KNOBS, install_logic_flaw
-
         if not self._logic_flaws_installed:
             for flaw in self.logic_flaws:
                 if flaw.kind in PREDICATE_KINDS:

@@ -1,23 +1,25 @@
-"""Injected-bug registry: the ground truth behind Table 4.
+"""Injected-bug ground truth: the data behind Table 4.
 
-Every injected bug is declared as an :class:`InjectedBug` row: which dialect
-and function it lives in, its crash class, the boundary-value-generation
-pattern expected to find it (Table 4's "Patterns" column), its disclosure
-status (confirmed/fixed), and a proof-of-concept statement.  The dialect
-modules install the corresponding flawed implementation via
-:mod:`repro.dialects.flaws`.
+Every injected bug is declared as a row in its dialect module
+(``bug_rows``): which function it lives in, its crash class, the
+boundary-value-generation pattern expected to find it (Table 4's "Patterns"
+column), its disclosure status (confirmed/fixed), and a proof-of-concept
+statement.  Logic flaws (``logic_flaw_rows``) are declared the same way.
+Each :class:`~repro.dialects.base.Dialect` instance installs the flawed
+implementations of its own rows via :mod:`repro.dialects.flaws`.
 
-The registry doubles as the oracle's attribution table: a crash is matched
-to a bug by ``(dbms, function, crash_class)``, which is unique by
+All rows of all dialects form one index, built once per process without
+constructing a dialect; it is the oracles' attribution table.  A crash is
+matched to a bug by ``(dbms, function, crash_class)``, which is unique by
 construction (asserted in the test suite).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engine.functions.registry import FunctionRegistry
 from . import flaws
 
 
@@ -110,29 +112,22 @@ def make_trigger(spec: Tuple) -> flaws.Trigger:
 
 
 # ---------------------------------------------------------------------------
-# global registry
+# declaration: rows -> records (pure; no registry, no global state)
 # ---------------------------------------------------------------------------
-_ALL_BUGS: List[InjectedBug] = []
-
-
-def register_bugs(
-    dbms: str,
-    registry: FunctionRegistry,
-    rows: Sequence[Tuple],
-) -> List[InjectedBug]:
-    """Declare and install a dialect's bugs.
+def declare_bugs(dbms: str, rows: Sequence[Tuple]) -> List[InjectedBug]:
+    """A dialect's injected bugs, from its ``bug_rows``.
 
     Each row: (function, family, crash, pattern, trigger_spec, poc,
     description[, fixed]) — ``fixed`` defaults to True (the paper's default
     outcome; MySQL/MariaDB rows override it per Table 4's status column).
     """
-    installed: List[InjectedBug] = []
+    declared: List[InjectedBug] = []
     counters: Dict[str, int] = {}
     for row in rows:
         function, family, crash, pattern, trigger_spec, poc, description = row[:7]
         fixed = row[7] if len(row) > 7 else True
         counters[family] = counters.get(family, 0) + 1
-        bug = InjectedBug(
+        declared.append(InjectedBug(
             bug_id=f"{dbms.upper()}-{family.upper()[:4]}-{counters[family]:03d}",
             dbms=dbms,
             function=function.lower(),
@@ -143,40 +138,8 @@ def register_bugs(
             poc=poc,
             description=description,
             trigger_spec=tuple(trigger_spec),
-        )
-        flaws.install_flaw(registry, bug.function, make_trigger(bug.trigger_spec), crash)
-        installed.append(bug)
-        _register_global(bug)
-    return installed
-
-
-def _register_global(bug: InjectedBug) -> None:
-    # dialects may be instantiated repeatedly (fresh servers); keep one
-    # registry entry per bug identity
-    for existing in _ALL_BUGS:
-        if existing.bug_id == bug.bug_id:
-            return
-    _ALL_BUGS.append(bug)
-
-
-def all_bugs() -> List[InjectedBug]:
-    """Every injected bug across all dialects (imports the dialects)."""
-    from . import all_dialect_classes
-
-    for cls in all_dialect_classes():
-        cls()  # instantiation registers the bugs
-    return list(_ALL_BUGS)
-
-
-def bugs_for(dbms: str) -> List[InjectedBug]:
-    return [b for b in all_bugs() if b.dbms == dbms]
-
-
-def find_bug(dbms: str, function: str, crash: str) -> Optional[InjectedBug]:
-    for bug in all_bugs():
-        if bug.key == (dbms, function.lower(), crash):
-            return bug
-    return None
+        ))
+    return declared
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +149,8 @@ def find_bug(dbms: str, function: str, crash: str) -> Optional[InjectedBug]:
 class LogicFlaw:
     """One seeded non-crashing defect (the logic-bug oracles' ground truth).
 
-    Unlike :class:`InjectedBug`, a logic flaw is *declared* at dialect
-    construction but only *installed* on demand
+    Unlike :class:`InjectedBug`, a logic flaw is *declared* with its
+    dialect but only *installed* on demand
     (:meth:`~repro.dialects.base.Dialect.install_logic_flaws`): the default
     crash-only pipeline must keep every campaign byte-identical to the
     pre-pipeline code, which a permanently miscomputing function would not.
@@ -211,11 +174,8 @@ class LogicFlaw:
         return (self.dbms, self.function, self.kind)
 
 
-_ALL_LOGIC_FLAWS: List[LogicFlaw] = []
-
-
-def register_logic_flaws(dbms: str, rows: Sequence[Tuple]) -> List[LogicFlaw]:
-    """Declare a dialect's logic flaws (without installing them).
+def declare_logic_flaws(dbms: str, rows: Sequence[Tuple]) -> List[LogicFlaw]:
+    """A dialect's logic flaws, from its ``logic_flaw_rows``.
 
     Each row: (function, family, kind, pattern, trigger_spec, poc,
     description).  Installation happens lazily via
@@ -226,7 +186,7 @@ def register_logic_flaws(dbms: str, rows: Sequence[Tuple]) -> List[LogicFlaw]:
         function, family, kind, pattern, trigger_spec, poc, description = row
         if kind not in flaws.LOGIC_KINDS + flaws.PREDICATE_KINDS:
             raise ValueError(f"unknown logic-flaw kind {kind!r}")
-        flaw = LogicFlaw(
+        declared.append(LogicFlaw(
             flaw_id=f"{dbms.upper()}-LOGIC-{index:03d}",
             dbms=dbms,
             function=function.lower(),
@@ -236,32 +196,71 @@ def register_logic_flaws(dbms: str, rows: Sequence[Tuple]) -> List[LogicFlaw]:
             poc=poc,
             description=description,
             trigger_spec=tuple(trigger_spec),
-        )
-        declared.append(flaw)
-        if not any(f.flaw_id == flaw.flaw_id for f in _ALL_LOGIC_FLAWS):
-            _ALL_LOGIC_FLAWS.append(flaw)
+        ))
     return declared
 
 
-def all_logic_flaws() -> List[LogicFlaw]:
-    """Every declared logic flaw across all dialects."""
-    from . import all_dialect_classes
+# ---------------------------------------------------------------------------
+# the ground-truth index: every lookup below reads it
+# ---------------------------------------------------------------------------
+class _GroundTruth:
+    """Every dialect's declared bugs and logic flaws, keyed for lookup.
 
-    for cls in all_dialect_classes():
-        cls()  # instantiation declares the flaws
-    return list(_ALL_LOGIC_FLAWS)
+    Built once per process from the dialect classes' ``bug_rows`` and
+    ``logic_flaw_rows`` — class attributes, so no :class:`Dialect` (and no
+    function registry) is constructed.  Sequences keep Table 4 dialect
+    order; every key maps to the first record declared under it.
+    """
+
+    def __init__(self) -> None:
+        from . import all_dialect_classes
+
+        self.bugs: List[InjectedBug] = []
+        self.logic_flaws: List[LogicFlaw] = []
+        for cls in all_dialect_classes():
+            self.bugs += declare_bugs(cls.name, cls.bug_rows)
+            self.logic_flaws += declare_logic_flaws(cls.name, cls.logic_flaw_rows)
+        self.bug_by_key: Dict[Tuple[str, str, str], InjectedBug] = {}
+        for bug in self.bugs:
+            self.bug_by_key.setdefault(bug.key, bug)
+        self.flaws_by_function: Dict[Tuple[str, str], List[LogicFlaw]] = {}
+        self.flaw_by_kind: Dict[Tuple[str, str], LogicFlaw] = {}
+        for flaw in self.logic_flaws:
+            self.flaws_by_function.setdefault((flaw.dbms, flaw.function), []).append(flaw)
+            self.flaw_by_kind.setdefault((flaw.dbms, flaw.kind), flaw)
+
+
+@lru_cache(maxsize=None)
+def _index() -> _GroundTruth:
+    return _GroundTruth()
+
+
+def all_bugs() -> List[InjectedBug]:
+    """Every injected bug across all dialects, in Table 4 dialect order."""
+    return list(_index().bugs)
+
+
+def bugs_for(dbms: str) -> List[InjectedBug]:
+    return [b for b in _index().bugs if b.dbms == dbms]
+
+
+def find_bug(dbms: str, function: str, crash: str) -> Optional[InjectedBug]:
+    return _index().bug_by_key.get((dbms, function.lower(), crash))
+
+
+def all_logic_flaws() -> List[LogicFlaw]:
+    """Every declared logic flaw across all dialects, in Table 4 order."""
+    return list(_index().logic_flaws)
 
 
 def logic_flaws_for(dbms: str) -> List[LogicFlaw]:
-    return [f for f in all_logic_flaws() if f.dbms == dbms]
+    return [f for f in _index().logic_flaws if f.dbms == dbms]
 
 
 def find_logic_flaw(
     dbms: str, function: str, kind: Optional[str] = None
 ) -> Optional[LogicFlaw]:
-    for flaw in all_logic_flaws():
-        if flaw.dbms != dbms or flaw.function != function.lower():
-            continue
+    for flaw in _index().flaws_by_function.get((dbms, function.lower()), ()):
         if kind is None or flaw.kind == kind:
             return flaw
     return None
@@ -274,15 +273,12 @@ def find_predicate_flaw(dbms: str, kind: str) -> Optional[LogicFlaw]:
     metamorphic finding attributes by (dialect, kind) alone — whatever
     statement exposed the broken law, the root cause is the same defect.
     """
-    for flaw in all_logic_flaws():
-        if flaw.dbms == dbms and flaw.kind == kind:
-            return flaw
-    return None
+    return _index().flaw_by_kind.get((dbms, kind))
 
 
 def table4_totals() -> Dict[str, int]:
     """Aggregates used by the Table 4 benchmark and the tests."""
-    bugs = all_bugs()
+    bugs = _index().bugs
     out: Dict[str, int] = {"total": len(bugs), "fixed": sum(b.fixed for b in bugs)}
     for bug in bugs:
         out[f"dbms:{bug.dbms}"] = out.get(f"dbms:{bug.dbms}", 0) + 1

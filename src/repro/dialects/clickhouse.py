@@ -10,12 +10,10 @@ with the camel-case ``toX``/``arrayX`` alias families.  Six injected bugs
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List
 
 from ..engine.casting import TypeLimits
 from ..engine.functions import FunctionRegistry
 from .base import Dialect
-from .bugs import InjectedBug, register_bugs
 
 _BUG_ROWS = [
     # -- aggregate (1): NPD; P1.2
@@ -59,6 +57,7 @@ class ClickHouseDialect(Dialect):
     name = "clickhouse"
     version = "23.6.2.18"
     stack_depth = 256
+    bug_rows = _BUG_ROWS
 
     def make_limits(self) -> TypeLimits:
         return TypeLimits(
@@ -189,6 +188,3 @@ class ClickHouseDialect(Dialect):
                         "setval", "lastval", "column_create", "column_json",
                         "column_get"):
             registry.remove(missing)
-
-    def inject_bugs(self, registry: FunctionRegistry) -> None:
-        self.bugs: List[InjectedBug] = register_bugs(self.name, registry, _BUG_ROWS)

@@ -8,12 +8,9 @@ All 21 bugs were confirmed and fixed.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..engine.casting import TypeLimits
 from ..engine.functions import FunctionRegistry
 from .base import Dialect
-from .bugs import InjectedBug, register_bugs
 
 _BUG_ROWS = [
     # -- array (9): AF(5), HBOF(3), SO(1); P1.2(7), P1.4(1), P2.2(1)
@@ -129,9 +126,8 @@ class DuckDBDialect(Dialect):
     name = "duckdb"
     version = "0.10.1"
     stack_depth = 256
-
-    def declare_logic_flaws(self) -> List[tuple]:
-        return _LOGIC_FLAW_ROWS
+    bug_rows = _BUG_ROWS
+    logic_flaw_rows = _LOGIC_FLAW_ROWS
 
     def make_limits(self) -> TypeLimits:
         return TypeLimits(
@@ -166,6 +162,3 @@ class DuckDBDialect(Dialect):
                         "inet_ntoa", "inet6_aton", "inet6_ntoa",
                         "todecimalstring"):
             registry.remove(missing)
-
-    def inject_bugs(self, registry: FunctionRegistry) -> None:
-        self.bugs: List[InjectedBug] = register_bugs(self.name, registry, _BUG_ROWS)

@@ -9,12 +9,9 @@ the rest remained confirmed-only, mirroring Table 4's status column.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..engine.casting import TypeLimits
 from ..engine.functions import FunctionRegistry
 from .base import Dialect
-from .bugs import InjectedBug, register_bugs
 
 _BUG_ROWS = [
     # -- aggregate (4): NPD(1), SEGV(2), SO(1); P1.2(3), P2.2(1)
@@ -123,6 +120,7 @@ class MariaDBDialect(Dialect):
     name = "mariadb"
     version = "11.3.2"
     stack_depth = 256
+    bug_rows = _BUG_ROWS
 
     def make_limits(self) -> TypeLimits:
         return TypeLimits(
@@ -156,6 +154,3 @@ class MariaDBDialect(Dialect):
         registry.alias("char_length", "character_length")
         registry.alias("json_extract", "json_query_maria")
         registry.alias("group_concat", "json_group_concat")
-
-    def inject_bugs(self, registry: FunctionRegistry) -> None:
-        self.bugs: List[InjectedBug] = register_bugs(self.name, registry, _BUG_ROWS)

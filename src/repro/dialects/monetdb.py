@@ -8,12 +8,9 @@ disclosure window.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..engine.casting import TypeLimits
 from ..engine.functions import FunctionRegistry
 from .base import Dialect
-from .bugs import InjectedBug, register_bugs
 
 _BUG_ROWS = [
     # -- aggregate (7): NPD(6), SEGV(1); P1.2(1), P2.1(1), P2.2(2), P2.3(2), P3.3(1)
@@ -95,6 +92,7 @@ class MonetDBDialect(Dialect):
     name = "monetdb"
     version = "11.47.11"
     stack_depth = 256
+    bug_rows = _BUG_ROWS
 
     def make_limits(self) -> TypeLimits:
         return TypeLimits(
@@ -135,6 +133,3 @@ class MonetDBDialect(Dialect):
             registry.remove(missing)
         registry.alias("char_length", "length_mdb")
         registry.alias("current_setting", "sys_getenv")
-
-    def inject_bugs(self, registry: FunctionRegistry) -> None:
-        self.bugs: List[InjectedBug] = register_bugs(self.name, registry, _BUG_ROWS)

@@ -16,7 +16,6 @@ from ..engine.errors import ValueError_
 from ..engine.functions import FunctionRegistry
 from ..engine.values import NULL, SQLString, SQLValue
 from .base import Dialect
-from .bugs import InjectedBug, register_bugs
 
 _BUG_ROWS = [
     # -- aggregate (6): NPD(4), SEGV(1), GBOF(1); P1.3(1), P3.3(4), P2.1(1)
@@ -121,9 +120,8 @@ class MySQLDialect(Dialect):
     name = "mysql"
     version = "8.3.0"
     stack_depth = 256
-
-    def declare_logic_flaws(self) -> List[tuple]:
-        return _LOGIC_FLAW_ROWS
+    bug_rows = _BUG_ROWS
+    logic_flaw_rows = _LOGIC_FLAW_ROWS
 
     def make_limits(self) -> TypeLimits:
         return TypeLimits(
@@ -227,6 +225,3 @@ class MySQLDialect(Dialect):
         registry.alias("strcmp", "str_compare")
         registry.alias("to_base64", "base64_encode")
         registry.alias("from_base64", "base64_decode")
-
-    def inject_bugs(self, registry: FunctionRegistry) -> None:
-        self.bugs: List[InjectedBug] = register_bugs(self.name, registry, _BUG_ROWS)

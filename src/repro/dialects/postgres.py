@@ -10,12 +10,10 @@ overflow (CVE-2023-5868 analogue, found via Pattern 2.3).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List
 
 from ..engine.casting import TypeLimits
 from ..engine.functions import FunctionRegistry
 from .base import Dialect
-from .bugs import InjectedBug, register_bugs
 
 _BUG_ROWS = [
     (
@@ -34,6 +32,7 @@ class PostgreSQLDialect(Dialect):
     name = "postgresql"
     version = "16.1"
     stack_depth = 384
+    bug_rows = _BUG_ROWS
 
     def make_limits(self) -> TypeLimits:
         return TypeLimits(
@@ -80,6 +79,3 @@ class PostgreSQLDialect(Dialect):
                         "benchmark", "get_lock" , "format_bytes",
                         "inet_aton", "inet_ntoa", "inet6_aton", "inet6_ntoa"):
             registry.remove(missing)
-
-    def inject_bugs(self, registry: FunctionRegistry) -> None:
-        self.bugs: List[InjectedBug] = register_bugs(self.name, registry, _BUG_ROWS)

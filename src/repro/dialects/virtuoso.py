@@ -16,7 +16,6 @@ from ..engine.errors import ValueError_
 from ..engine.functions import FunctionRegistry
 from ..engine.values import NULL, SQLBytes, SQLInteger, SQLString, SQLValue
 from .base import Dialect
-from .bugs import InjectedBug, register_bugs
 
 _BUG_ROWS = [
     # -- aggregate (5): NPD(4), SEGV(1); P1.2(1), P3.2(1), P3.3(3)
@@ -189,6 +188,7 @@ class VirtuosoDialect(Dialect):
     name = "virtuoso"
     version = "7.2.12"
     stack_depth = 256
+    bug_rows = _BUG_ROWS
 
     def make_limits(self) -> TypeLimits:
         return TypeLimits(
@@ -374,6 +374,3 @@ class VirtuosoDialect(Dialect):
                         "format_bytes", "name_const", "get_lock",
                         "release_lock", "is_used_lock", "todecimalstring"):
             registry.remove(missing)
-
-    def inject_bugs(self, registry: FunctionRegistry) -> None:
-        self.bugs: List[InjectedBug] = register_bugs(self.name, registry, _BUG_ROWS)

@@ -18,10 +18,10 @@ import time
 from typing import TYPE_CHECKING, List, Optional
 
 from ..perf.stmtcache import StatementCache
-from ..sqlast import ParseError, parse_statements
+from ..sqlast import LexError, ParseError, parse_statements
 from ..sqlast import nodes as n
 from .catalog import Database
-from .errors import CrashSignal, SQLError, SyntaxError_
+from .errors import CrashSignal, SQLError, SyntaxError_, ValueError_
 from .executor import Executor, Result
 from .optimizer import optimize_statement
 
@@ -213,6 +213,12 @@ class Connection:
                 ctx.stage = "execute"
                 result = executor.execute(optimized)
             return result
+        except (ArithmeticError, ValueError) as exc:
+            # numeric edge cases outside any function call (rendering an
+            # integer past Python's 4,300-digit str() limit, quantizing past
+            # the decimal context) are handled SQL errors, as they are
+            # inside one (Evaluator.call_function)
+            raise ValueError_(f"value out of range ({exc})") from None
         except CrashSignal as crash:
             if crash.stage is None:
                 crash.stage = ctx.stage
@@ -227,7 +233,7 @@ class Connection:
         ctx.stage = "parse"
         try:
             statements = parse_statements(sql, tokens=tokens)
-        except ParseError as exc:
+        except (LexError, ParseError) as exc:
             raise SyntaxError_(str(exc)) from None
         except RecursionError:
             raise SyntaxError_("statement too deeply nested") from None

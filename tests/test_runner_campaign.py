@@ -1,11 +1,13 @@
 """Tests for the runner, oracle, and campaign orchestration."""
 
+import sys
+
 import pytest
 
 from repro.core.campaign import Campaign, run_campaign
 from repro.core.config import CampaignConfig
 from repro.core.oracles import CrashOracle
-from repro.core.runner import Runner
+from repro.core.runner import Outcome, Runner
 from repro.dialects import bugs_for, dialect_by_name
 from repro.engine.connection import ConnectionClosed, ServerCrashed
 from repro.engine.errors import NullPointerDereference
@@ -27,6 +29,33 @@ class TestRunner:
         runner = Runner(dialect_by_name("mariadb"))
         outcome = runner.run("SELEKT;")
         assert outcome.kind == "error"
+
+    @pytest.mark.parametrize("sql", [
+        # rendering an integer past Python's 4,300-digit str() limit
+        "SELECT CAST(CEIL(REPEAT('9', 5000)) AS VARCHAR);",
+        "SELECT CEIL(REPEAT('9', 5000)) || 'a';",
+        "SELECT CEIL(REPEAT('9', 5000)) LIKE '9%';",
+        "SELECT CEIL(REPEAT('9', 5000))::TEXT;",
+        # quantizing past the decimal context
+        "SELECT CAST(CEIL(REPEAT('9', 5000)) AS DECIMAL);",
+    ])
+    def test_huge_numeric_edge_cases_are_sql_outcomes(self, sql):
+        runner = Runner(dialect_by_name("duckdb"))
+        outcome = runner.run(sql)
+        assert isinstance(outcome, Outcome)
+        # Python < 3.11 has no str() digit limit, so a render may succeed
+        if sys.version_info >= (3, 11):
+            assert outcome.kind == "error"
+            assert "value out of range" in outcome.message
+        assert runner.run("SELECT 1;").kind == "ok"
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT 'abc;", "SELECT \"abc;", "SELECT /* abc;",
+    ])
+    def test_lexer_errors_are_syntax_errors(self, sql):
+        outcome = Runner(dialect_by_name("duckdb")).run(sql)
+        assert outcome.kind == "error"
+        assert "unterminated" in outcome.message
 
     def test_resource_kill_outcome(self):
         runner = Runner(dialect_by_name("mariadb"))
