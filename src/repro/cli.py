@@ -1,4 +1,4 @@
-"""Command-line interface: ``repro <command>`` (also installed as ``soft``).
+"""Command-line interface: ``repro <command>``.
 
 Commands:
 
@@ -42,7 +42,6 @@ from typing import List, Optional
 _FIELD_FLAGS = {
     "enable_coverage": "--coverage",
     "statement_cache": "--no-stmt-cache",
-    "compile": "--no-compile",
     "checkpoint_path": "--checkpoint",
     "checkpoint_every": "--checkpoint-every",
     "fault_seed": "--fault-seed",
@@ -103,10 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        "(same bug set and signature as the serial run)")
     p_run.add_argument("--no-stmt-cache", action="store_true",
                        help="bypass the statement parse/plan cache")
-    p_run.add_argument("--no-compile", action="store_true",
-                       help="disable plan-to-closure compilation and run "
-                       "every statement through the interpreter (results "
-                       "and signatures are identical either way)")
     p_run.add_argument("--oracles", metavar="NAMES", default="crash",
                        help="comma-separated detection oracles: "
                        "crash,differential,conformance,tlp,norec "
@@ -271,7 +266,6 @@ def _cmd_run(args) -> int:
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
             statement_cache=not args.no_stmt_cache,
-            compile=not args.no_compile,
             oracles=args.oracles,
             statement_family=args.statement_family,
             budgets=args.budgets,

@@ -62,9 +62,7 @@ from .config import (
     BUDGET_24_HOURS,
     BUDGET_TWO_WEEKS,
     DEFAULT_CHECKPOINT_EVERY,
-    _UNSET,
     CampaignConfig,
-    resolve_config,
 )
 from .oracles import (
     CaseInfo,
@@ -109,11 +107,6 @@ class CampaignResult:
     wall_seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: plan→closure compilation counters (repro.perf.compiler); like the
-    #: cache counters these are throughput instrumentation and never enter
-    #: :meth:`signature` — compiled and interpreted runs sign identically
-    compiled_executions: int = 0
-    compile_fallbacks: int = 0
     #: sandbox supervisor health (``--sandbox`` campaigns only; the
     #: default-config signature layout is untouched when inactive)
     sandbox_active: bool = False
@@ -195,56 +188,29 @@ class CampaignResult:
 class Campaign:
     """One SOFT campaign over one dialect.
 
-    The campaign options live in a :class:`~repro.core.config.CampaignConfig`
-    passed as ``config=``; the historical keyword arguments still work
-    through a shim that emits a :class:`DeprecationWarning`.  The
+    The campaign options live in the :class:`~repro.core.config.CampaignConfig`
+    passed as ``config=`` (default: every option at its default).  The
     ``clock``/``rng``/``retry_policy`` runtime objects are not
-    configuration and remain ordinary constructor arguments.
+    configuration and stay ordinary keyword arguments.
     """
 
     def __init__(
         self,
         dialect: Dialect,
-        budget: Any = _UNSET,
-        enable_coverage: Any = _UNSET,
-        seed: Any = _UNSET,
-        max_partners: Any = _UNSET,
-        stop_when_all_found: Any = _UNSET,
-        faults: Any = _UNSET,
-        fault_seed: Any = _UNSET,
-        checkpoint_path: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
+        *,
+        config: Optional[CampaignConfig] = None,
         clock: Optional[Clock] = None,
         rng: Optional[random.Random] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        statement_deadline: Any = _UNSET,
-        statement_cache: Any = _UNSET,
-        oracles: Any = _UNSET,
-        budgets: Any = _UNSET,
-        sandbox: Any = _UNSET,
-        config: Optional[CampaignConfig] = None,
     ) -> None:
-        config = resolve_config(
-            "Campaign",
-            config,
-            {
-                "budget": budget,
-                "enable_coverage": enable_coverage,
-                "seed": seed,
-                "max_partners": max_partners,
-                "stop_when_all_found": stop_when_all_found,
-                "faults": faults,
-                "fault_seed": fault_seed,
-                "checkpoint_path": checkpoint_path,
-                "checkpoint_every": checkpoint_every,
-                "statement_deadline": statement_deadline,
-                "statement_cache": statement_cache,
-                "oracles": oracles,
-                "budgets": budgets,
-                "sandbox": sandbox,
-            },
-            dialect=dialect.name,
-        )
+        if config is None:
+            config = CampaignConfig(dialect=dialect.name)
+        elif not isinstance(config, CampaignConfig):
+            raise TypeError(
+                f"Campaign config= expects a CampaignConfig, got {config!r}"
+            )
+        elif not config.dialect:
+            config = config.replace(dialect=dialect.name)
         self.config = config
         self.dialect = dialect
         self.budget = config.budget
@@ -323,7 +289,6 @@ class Campaign:
             clock=self.clock,
             watchdog=Watchdog(self.clock, deadline_seconds=self.statement_deadline),
             statement_cache=self.statement_cache,
-            compile_plans=self.config.compile,
             budgets=self.budgets,
             sandbox=self.sandbox_config,
             bootstrap_sql=bootstrap_sql,
@@ -502,8 +467,6 @@ class Campaign:
         result.wall_seconds = time.monotonic() - self._wall_started
         result.cache_hits = runner.cache_hits
         result.cache_misses = runner.cache_misses
-        result.compiled_executions = runner.compiled_executions
-        result.compile_fallbacks = runner.compile_fallbacks
         if self.containment is not None:
             result.sandbox_active = True
             result.open_breakers = self.containment.open_breakers
@@ -633,49 +596,55 @@ class Campaign:
 
 def run_campaign(
     dialect_name: Optional[str] = None,
-    budget: Any = _UNSET,
-    enable_coverage: Any = _UNSET,
-    seed: Any = _UNSET,
-    stop_when_all_found: Any = _UNSET,
-    faults: Any = _UNSET,
-    fault_seed: Any = _UNSET,
-    checkpoint: Any = _UNSET,
-    checkpoint_every: Any = _UNSET,
+    budget: Optional[int] = None,
+    enable_coverage: Optional[bool] = None,
+    seed: Optional[int] = None,
+    stop_when_all_found: Optional[bool] = None,
+    faults: Any = None,
+    fault_seed: Optional[int] = None,
+    checkpoint: Optional[str] = None,
+    checkpoint_every: Optional[int] = None,
     resume: Union[None, str, CampaignCheckpoint] = None,
-    statement_cache: Any = _UNSET,
-    oracles: OracleSpec = _UNSET,
-    budgets: Any = _UNSET,
-    sandbox: Any = _UNSET,
+    statement_cache: Optional[bool] = None,
+    oracles: OracleSpec = None,
+    budgets: Any = None,
+    sandbox: Any = None,
     config: Optional[CampaignConfig] = None,
 ) -> CampaignResult:
     """Convenience wrapper: run SOFT against a dialect by name.
 
-    This is the compatibility surface — the historical keyword arguments
-    keep working here without a deprecation warning (they are folded into
-    a :class:`CampaignConfig` internally).  New code should build the
-    config itself and pass ``config=`` (``dialect_name`` may then be
-    omitted in favour of ``config.dialect``).
+    The keyword options are :class:`CampaignConfig` fields (``checkpoint``
+    is ``checkpoint_path``); ``None`` leaves a field at its default.  Pass
+    either keyword options or a ready ``config=`` (``dialect_name`` may
+    then be omitted in favour of ``config.dialect``), not both.
     """
-    config = resolve_config(
-        "run_campaign",
-        config,
-        {
-            "budget": budget,
-            "enable_coverage": enable_coverage,
-            "seed": seed,
-            "stop_when_all_found": stop_when_all_found,
-            "faults": faults,
-            "fault_seed": fault_seed,
-            "checkpoint_path": checkpoint,
-            "checkpoint_every": checkpoint_every,
-            "statement_cache": statement_cache,
-            "oracles": oracles,
-            "budgets": budgets,
-            "sandbox": sandbox,
-        },
-        dialect=dialect_name or "",
-        warn=False,
-    )
+    options = {
+        key: value
+        for key, value in (
+            ("budget", budget),
+            ("enable_coverage", enable_coverage),
+            ("seed", seed),
+            ("stop_when_all_found", stop_when_all_found),
+            ("faults", faults),
+            ("fault_seed", fault_seed),
+            ("checkpoint_path", checkpoint),
+            ("checkpoint_every", checkpoint_every),
+            ("statement_cache", statement_cache),
+            ("oracles", oracles),
+            ("budgets", budgets),
+            ("sandbox", sandbox),
+        )
+        if value is not None
+    }
+    if config is None:
+        config = CampaignConfig(dialect=dialect_name or "", **options)
+    elif options:
+        raise TypeError(
+            f"run_campaign takes config= or keyword options, not both "
+            f"(got config= plus {sorted(options)})"
+        )
+    elif dialect_name and not config.dialect:
+        config = config.replace(dialect=dialect_name)
     if not config.dialect:
         raise ValueError("run_campaign needs a dialect name (or config.dialect)")
     dialect = dialect_by_name(config.dialect)

@@ -18,16 +18,14 @@ module collapses that sprawl into one **frozen** dataclass that is:
   :meth:`CampaignConfig.from_dict` round-trip through JSON, which is what
   the campaign service's HTTP API submits.
 
-Legacy keyword arguments on the constructors keep working through a shim
-(:func:`resolve_config`) that emits a :class:`DeprecationWarning`,
-mirroring the ``repro.core.oracle`` import-shim pattern from the oracle
-pipeline refactor.
+``Campaign`` and ``ParallelCampaign`` take the options only as
+``config=``; the ``run_campaign``/``run_parallel_campaign`` helpers keep
+their keyword arguments and build the config from them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -44,11 +42,6 @@ BUDGET_TWO_WEEKS = 300_000
 
 #: default checkpoint cadence (statements between snapshots)
 DEFAULT_CHECKPOINT_EVERY = 1_000
-
-#: sentinel distinguishing "not passed" from "passed None" in the legacy
-#: keyword shims
-_UNSET = object()
-
 
 def fault_spec(faults: Any) -> Optional[str]:
     """Re-encode a fault plan as the CLI spec string (process-portable)."""
@@ -89,9 +82,6 @@ class CampaignConfig:
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
     statement_deadline: float = DEFAULT_DEADLINE_SECONDS
     statement_cache: bool = True
-    #: plan→closure compilation (repro.perf.compiler); ``--no-compile``
-    #: clears it, and governed/sandboxed execution falls back on its own
-    compile: bool = True
     #: normalized to a validated name tuple at construction
     oracles: Any = None
     #: which statement stream the generator emits: ``"expression"`` (the
@@ -231,7 +221,6 @@ class CampaignConfig:
             "checkpoint_every": self.checkpoint_every,
             "statement_deadline": self.statement_deadline,
             "statement_cache": self.statement_cache,
-            "compile": self.compile,
             "oracles": list(self.oracles),
             "statement_family": self.statement_family,
             "budgets": self.budgets.to_spec() if self.budgets is not None else None,
@@ -276,50 +265,3 @@ class CampaignConfig:
             kwargs["oracles"] = tuple(oracles)
         return cls(**kwargs)
 
-
-# ---------------------------------------------------------------------------
-# the legacy-keyword shim
-# ---------------------------------------------------------------------------
-def resolve_config(
-    owner: str,
-    config: Optional[CampaignConfig],
-    legacy: Dict[str, Any],
-    dialect: str = "",
-    defaults: Optional[Dict[str, Any]] = None,
-    warn: bool = True,
-) -> CampaignConfig:
-    """Coalesce ``config=`` and legacy keyword arguments into one config.
-
-    *legacy* maps config field names to values, with :data:`_UNSET` marking
-    arguments the caller did not pass.  Passing both a config and explicit
-    legacy keywords is an error; passing legacy keywords alone still works
-    but (when *warn*) emits a :class:`DeprecationWarning` naming *owner* —
-    the migration path is ``owner(config=CampaignConfig(...))``.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if config is not None:
-        if supplied:
-            raise TypeError(
-                f"{owner} accepts either config= or legacy keyword "
-                f"arguments, not both (got config= plus "
-                f"{sorted(supplied)})"
-            )
-        if not isinstance(config, CampaignConfig):
-            raise TypeError(
-                f"{owner} config= expects a CampaignConfig, got {config!r}"
-            )
-        if dialect and not config.dialect:
-            config = config.replace(dialect=dialect)
-        return config
-    if supplied and warn:
-        warnings.warn(
-            f"passing campaign options to {owner} as keyword arguments is "
-            f"deprecated; build a repro.core.CampaignConfig and pass "
-            f"config= instead (got {sorted(supplied)})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    merged = dict(defaults or {})
-    merged.update(supplied)
-    merged.setdefault("dialect", dialect)
-    return CampaignConfig(**merged)

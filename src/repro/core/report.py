@@ -264,13 +264,6 @@ def format_resilience(result: CampaignResult) -> str:
             f"  statement cache: {rate:.1%} hit rate "
             f"({hits:,} hits / {misses:,} misses)"
         )
-    compiled = getattr(result, "compiled_executions", 0)
-    fallbacks = getattr(result, "compile_fallbacks", 0)
-    if compiled or fallbacks:
-        lines.append(
-            f"  compiled plans: {compiled:,} executions, "
-            f"{fallbacks:,} interpreter fallbacks"
-        )
     if getattr(result, "quarantined", False):
         lines.append(f"  QUARANTINED: {result.quarantine_reason}")
     if summary["sandbox_active"]:

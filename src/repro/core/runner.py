@@ -103,7 +103,6 @@ class Runner:
         breaker: Optional[CircuitBreaker] = None,
         reconfirm_crashes: Optional[bool] = None,
         statement_cache: bool = True,
-        compile_plans: bool = True,
         budgets: Optional[object] = None,
         sandbox: Optional[object] = None,
         bootstrap_sql: Sequence[str] = (),
@@ -135,10 +134,6 @@ class Runner:
         self.server: Server = dialect.create_server()
         if not statement_cache:
             self.server.stmt_cache = None
-        elif not compile_plans:
-            # interpreted-only mode (--no-compile): deliberate, so hits
-            # that would have compiled are not counted as fallbacks
-            self.server.stmt_cache.compile_enabled = False
         self.coverage: Optional[CoverageTracker] = None
         if enable_coverage:
             self.coverage = CoverageTracker()
@@ -150,7 +145,6 @@ class Runner:
                 config=sandbox_config,
                 budgets=budgets,
                 statement_cache=statement_cache,
-                compile_plans=compile_plans,
             )
             # worker-reported triggered functions land in the parent ctx,
             # so checkpoints and the triggered_functions property are
@@ -442,20 +436,6 @@ class Runner:
             return self.sandbox.cache_hits / total if total else 0.0
         cache = self.server.stmt_cache
         return cache.hit_rate if cache is not None else 0.0
-
-    @property
-    def compiled_executions(self) -> int:
-        if self.sandbox is not None:
-            return self.sandbox.compiled_executions
-        cache = self.server.stmt_cache
-        return cache.compiled_executions if cache is not None else 0
-
-    @property
-    def compile_fallbacks(self) -> int:
-        if self.sandbox is not None:
-            return self.sandbox.compile_fallbacks
-        cache = self.server.stmt_cache
-        return cache.compile_fallbacks if cache is not None else 0
 
     # ------------------------------------------------------------------
     def close(self) -> None:

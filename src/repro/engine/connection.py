@@ -174,14 +174,8 @@ class Connection:
                 # spurious CrashSignals fall through to the handler below
                 hook.on_execute(self, sql)
             if cache is not None:
-                plan = cache.fetch(server.dialect.name, sql, ctx)
+                plan = cache.fetch(server.dialect.name, sql)
                 if plan is not None:
-                    compiled = plan.compiled
-                    if compiled is not None:
-                        # closure program emitted by repro.perf.compiler:
-                        # semantically the interpreter minus dispatch
-                        ctx.stage = "execute"
-                        return compiled(ctx)
                     stmt = plan.stmt
                     if plan.needs_optimize:
                         stmt = optimize_statement(ctx, stmt)

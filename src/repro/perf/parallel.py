@@ -29,12 +29,11 @@ Architecture (see DESIGN.md for the full determinism argument):
   oracle's kept records by global stream position and re-deduplicates —
   the same first-occurrence order as the serial loop, so the merged
   findings match a serial run record for record.
-* **Bulky payloads never ride the pickle channel.**  The parent exports
-  its seed-phase statement cache as a template-factored warm corpus that
-  every worker imports before touching its stream, and each worker
-  returns its shard report as a packed value tree on disk — the
-  multiprocessing channel carries scalar arguments and fixed-size path
-  envelopes only (:mod:`repro.perf.transport`).
+* Each worker takes the campaign's :class:`CampaignConfig` plus the few
+  values the parent's seed phase produced (seed count, seed return
+  types, carried-over containment state), and hands its report back as a
+  plain dict over the pool's own result channel.  Workers start with a
+  cold statement cache.
 
 Checkpoint/resume: each worker writes its own sidecar checkpoint
 (``<path>.shard<w>``) carrying its pipeline state.  On resume the parent
@@ -59,12 +58,11 @@ import json
 import multiprocessing
 import os
 import random
-import tempfile
 import time
 from typing import Any, Dict, List, Optional, Union
 
 from ..core.campaign import CampaignResult
-from ..core.config import _UNSET, CampaignConfig, fault_spec, resolve_config
+from ..core.config import CampaignConfig
 from ..core.collect import SeedCollector
 from ..core.oracles import CaseInfo, OraclePipeline, OracleStateError, build_pipeline
 from ..core.oracles.base import OracleSpec
@@ -76,16 +74,8 @@ from ..dialects.base import Dialect
 from ..robustness.checkpoint import CHECKPOINT_VERSION, CheckpointError
 from ..robustness.faults import FaultInjector, make_fault_injector
 from ..robustness.policy import ServerQuarantined
-from ..robustness.sandbox import ContainmentState, SandboxConfig
+from ..robustness.sandbox import ContainmentState
 from ..robustness.watchdog import SimulatedClock, Watchdog
-from .transport import (
-    TransportStats,
-    pack_statements,
-    read_packed,
-    transport_stats,
-    unpack_statements,
-    write_packed,
-)
 
 
 #: sidecar layout version: bumped when the shard report/checkpoint schema
@@ -99,73 +89,41 @@ def _shard_checkpoint_path(path: str, worker: int) -> str:
 
 
 def _run_shard(
-    dialect_name: str,
+    config: CampaignConfig,
     worker: int,
-    jobs: int,
-    seed: int,
-    budget: int,
     seed_count: int,
     return_types: Dict[str, str],
-    max_partners: int,
-    enable_coverage: bool,
-    faults_spec: Optional[str],
-    fault_seed: int,
-    statement_deadline: float,
-    statement_cache: bool,
-    checkpoint_path: Optional[str],
-    checkpoint_every: int,
-    resume: bool,
-    oracle_names: tuple = ("crash",),
-    stop_after: Optional[int] = None,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
+    resume: bool = False,
     containment_seed: Optional[Dict[str, Any]] = None,
-    compile_plans: bool = True,
-    warm_corpus_path: Optional[str] = None,
-    transport_dir: Optional[str] = None,
-    statement_family: str = "expression",
+    stop_after: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Execute one worker's share of the generated stream.
 
-    Runs in a child process (or inline for ``jobs=1``).  The pickle
-    channel carries only this call's scalar arguments and a tiny path
-    envelope back: the warm statement corpus arrives template-factored at
-    ``warm_corpus_path`` and, when ``transport_dir`` is set, the shard
-    report leaves as a packed value tree on disk (see
-    :mod:`repro.perf.transport`).  ``stop_after`` caps how many
-    statements this shard executes before returning early — a test hook
-    that simulates a mid-campaign kill for resume testing.
+    Runs in a child process (or inline for ``jobs=1``) and returns the
+    shard report as a plain dict.  *seed_count*, *return_types* and
+    *containment_seed* come from the parent's seed phase.  ``stop_after``
+    caps how many statements this shard executes before returning early
+    — a test hook that simulates a mid-campaign kill for resume testing.
     """
-    dialect = dialect_by_name(dialect_name)
+    dialect = dialect_by_name(config.dialect)
     # pipeline before runner: logic-flaw installation must precede server
     # construction, exactly as in the serial campaign
-    pipeline = build_pipeline(dialect, oracle_names)
+    pipeline = build_pipeline(dialect, config.oracles)
     clock = SimulatedClock()
-    injector = make_fault_injector(faults_spec, seed=fault_seed, clock=clock)
+    injector = make_fault_injector(config.faults, seed=config.fault_seed, clock=clock)
+    sandbox_config = config.sandbox
     runner = Runner(
         dialect,
-        enable_coverage=enable_coverage,
+        enable_coverage=config.enable_coverage,
         faults=injector,
         clock=clock,
-        watchdog=Watchdog(clock, deadline_seconds=statement_deadline),
-        statement_cache=statement_cache,
-        budgets=budgets_spec,
+        watchdog=Watchdog(clock, deadline_seconds=config.statement_deadline),
+        statement_cache=config.statement_cache,
+        budgets=config.budgets,
         sandbox=sandbox_config,
-        compile_plans=compile_plans,
-        bootstrap_sql=TABLE_SETUP if statement_family == "predicate" else (),
+        bootstrap_sql=TABLE_SETUP if config.statement_family == "predicate" else (),
     )
     runner.capture_fingerprints = pipeline.needs_fingerprints
-    cache = runner.server.stmt_cache
-    if warm_corpus_path is not None and cache is not None and runner.sandbox is None:
-        # inherit the parent's warmed template cache: every statement the
-        # seed phase parsed enters this worker's cache pre-parsed and
-        # pre-optimized, so the shard's stream starts on the hit path.
-        # Warming is behaviour-neutral — it populates cache tiers the
-        # stream would have populated on first miss anyway.
-        with open(warm_corpus_path, "rb") as fh:
-            warm_sql = unpack_statements(fh.read())
-        for sql in warm_sql:
-            cache.warm(dialect.name, sql, runner.server.ctx)
     containment: Optional[ContainmentState] = None
     if sandbox_config is not None:
         containment = ContainmentState.from_config(sandbox_config)
@@ -181,23 +139,19 @@ def _run_shard(
     # fresh Random(seed) in every process keeps the constructor contract
     engine = PatternEngine(
         SeedCollector(dialect).collect(),
-        rng=random.Random(seed),
-        max_partners=max_partners,
+        rng=random.Random(config.seed),
+        max_partners=config.max_partners,
         return_types=dict(return_types),
-        statement_family=statement_family,
+        statement_family=config.statement_family,
     )
 
     skip_in_shard = 0
     shard_executed = 0
     outcome_counts: Dict[str, int] = {}
+    checkpoint_path = config.checkpoint_path
     if resume and checkpoint_path is not None:
         state = _load_shard_checkpoint(
-            _shard_checkpoint_path(checkpoint_path, worker),
-            dialect_name, seed, budget, max_partners,
-            enable_coverage, jobs, worker, oracle_names,
-            budgets_spec, sandbox_config,
-            compile_plans=compile_plans,
-            statement_family=statement_family,
+            _shard_checkpoint_path(checkpoint_path, worker), config, worker
         )
         if state is not None:
             # processed counts containment skips too; sidecars written
@@ -222,7 +176,7 @@ def _run_shard(
                     runner.sandbox.worker_deaths = sandbox_state["worker_deaths"]
                     runner.sandbox.respawns = sandbox_state["respawns"]
 
-    generated_budget = max(budget - seed_count, 0)
+    generated_budget = max(config.budget - seed_count, 0)
     shard_processed = 0
     executed_this_run = 0
     quarantined = False
@@ -239,26 +193,26 @@ def _run_shard(
             "respawns": runner.sandbox.respawns if runner.sandbox else 0,
         }
 
-    def maybe_checkpoint() -> None:
-        if checkpoint_path is None or checkpoint_every <= 0:
-            return
-        if shard_processed == 0 or shard_processed % checkpoint_every:
-            return
+    def save_checkpoint() -> None:
         _save_shard_checkpoint(
-            _shard_checkpoint_path(checkpoint_path, worker),
-            dialect_name, seed, budget, max_partners, enable_coverage,
-            jobs, worker, oracle_names, shard_executed, pipeline,
-            outcome_counts, runner, shard_processed, sandbox_report(),
-            budgets_spec, sandbox_config,
-            compile_plans=compile_plans,
-            statement_family=statement_family,
+            _shard_checkpoint_path(checkpoint_path, worker), config, worker,
+            shard_executed, pipeline, outcome_counts, runner,
+            shard_processed, sandbox_report(),
         )
+
+    def maybe_checkpoint() -> None:
+        every = config.checkpoint_every
+        if checkpoint_path is None or every <= 0:
+            return
+        if shard_processed == 0 or shard_processed % every:
+            return
+        save_checkpoint()
 
     try:
         for index, case in enumerate(engine.generate_all()):
             if index >= generated_budget:
                 break
-            if index % jobs != worker:
+            if index % config.jobs != worker:
                 continue  # lazy case: skipping costs no SQL rendering
             if shard_processed < skip_in_shard:
                 shard_processed += 1
@@ -312,8 +266,6 @@ def _run_shard(
         else [],
         "cache_hits": runner.cache_hits,
         "cache_misses": runner.cache_misses,
-        "compiled_executions": runner.compiled_executions,
-        "compile_fallbacks": runner.compile_fallbacks,
         "restarts": runner.restarts,
         "timeouts": runner.timeouts,
         "flaky_crashes": runner.flaky_crashes,
@@ -324,93 +276,60 @@ def _run_shard(
         "sandbox": sandbox_report(),
     }
     if checkpoint_path is not None:
-        _save_shard_checkpoint(
-            _shard_checkpoint_path(checkpoint_path, worker),
-            dialect_name, seed, budget, max_partners, enable_coverage,
-            jobs, worker, oracle_names, shard_executed, pipeline,
-            outcome_counts, runner, shard_processed, sandbox_report(),
-            budgets_spec, sandbox_config,
-            compile_plans=compile_plans,
-            statement_family=statement_family,
-        )
+        save_checkpoint()
     runner.close()
-    if transport_dir is not None:
-        # ship the report as a packed value tree; the pickle channel only
-        # ever carries this fixed-size envelope
-        packed_path = os.path.join(transport_dir, f"shard{worker}.report")
-        write_packed(packed_path, report)
-        return {"worker": worker, "packed_path": packed_path}
     return report
 
 
 # ----------------------------------------------------------------------
 # per-shard sidecar checkpoints
 # ----------------------------------------------------------------------
-def _shard_spec(
-    dialect: str, seed: int, budget: int, max_partners: int,
-    enable_coverage: bool, jobs: int, worker: int,
-    oracle_names: tuple,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
-    compile_plans: bool = True,
-    statement_family: str = "expression",
-) -> Dict[str, Any]:
+def _shard_spec(config: CampaignConfig, worker: int) -> Dict[str, Any]:
     spec = {
         "version": CHECKPOINT_VERSION,
         "shard_format": SHARD_FORMAT_VERSION,
-        "dialect": dialect,
-        "seed": seed,
-        "budget": budget,
-        "max_partners": max_partners,
-        "enable_coverage": enable_coverage,
-        "jobs": jobs,
+        "dialect": config.dialect,
+        "seed": config.seed,
+        "budget": config.budget,
+        "max_partners": config.max_partners,
+        "enable_coverage": config.enable_coverage,
+        "jobs": config.jobs,
         "worker": worker,
-        "oracles": list(oracle_names),
+        "oracles": list(config.oracles),
     }
     # only non-default governance/sandbox settings enter the spec, so
     # sidecars written before this layer existed still match default runs
-    if budgets_spec:
-        spec["budgets"] = budgets_spec
-    if sandbox_config is not None:
+    budgets = config.budgets
+    if budgets is not None and budgets.enabled:
+        spec["budgets"] = budgets.to_spec()
+    sandbox = config.sandbox
+    if sandbox is not None:
         spec["sandbox"] = {
-            "wall_deadline_seconds": sandbox_config.wall_deadline_seconds,
-            "breaker_threshold": sandbox_config.breaker_threshold,
-            "quarantine": list(sandbox_config.quarantine),
-            "max_message_bytes": sandbox_config.max_message_bytes,
+            "wall_deadline_seconds": sandbox.wall_deadline_seconds,
+            "breaker_threshold": sandbox.breaker_threshold,
+            "quarantine": list(sandbox.quarantine),
+            "max_message_bytes": sandbox.max_message_bytes,
         }
-    if not compile_plans:
-        spec["compile"] = False
-    if statement_family != "expression":
-        spec["statement_family"] = statement_family
+    if config.statement_family != "expression":
+        spec["statement_family"] = config.statement_family
     return spec
 
 
 def _save_shard_checkpoint(
     path: str,
-    dialect: str, seed: int, budget: int, max_partners: int,
-    enable_coverage: bool, jobs: int, worker: int,
-    oracle_names: tuple,
+    config: CampaignConfig,
+    worker: int,
     shard_executed: int,
     pipeline: OraclePipeline,
     outcomes: Dict[str, int],
     runner: Runner,
-    shard_processed: Optional[int] = None,
+    shard_processed: int,
     sandbox_state: Optional[Dict[str, Any]] = None,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
-    compile_plans: bool = True,
-    statement_family: str = "expression",
 ) -> None:
     payload = {
-        "spec": _shard_spec(
-            dialect, seed, budget, max_partners, enable_coverage, jobs,
-            worker, oracle_names, budgets_spec, sandbox_config,
-            compile_plans, statement_family,
-        ),
+        "spec": _shard_spec(config, worker),
         "shard_executed": shard_executed,
-        "shard_processed": (
-            shard_processed if shard_processed is not None else shard_executed
-        ),
+        "shard_processed": shard_processed,
         "sandbox": sandbox_state,
         "oracle_state": pipeline.export_state(),
         "outcomes": outcomes,
@@ -430,24 +349,13 @@ def _save_shard_checkpoint(
 
 
 def _load_shard_checkpoint(
-    path: str,
-    dialect: str, seed: int, budget: int, max_partners: int,
-    enable_coverage: bool, jobs: int, worker: int,
-    oracle_names: tuple,
-    budgets_spec: Optional[str] = None,
-    sandbox_config: Optional[SandboxConfig] = None,
-    compile_plans: bool = True,
-    statement_family: str = "expression",
+    path: str, config: CampaignConfig, worker: int
 ) -> Optional[Dict[str, Any]]:
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    expected = _shard_spec(
-        dialect, seed, budget, max_partners, enable_coverage, jobs, worker,
-        oracle_names, budgets_spec, sandbox_config, compile_plans,
-        statement_family,
-    )
+    expected = _shard_spec(config, worker)
     if payload.get("spec") != expected:
         raise CheckpointError(
             f"shard checkpoint {path!r} was written for a different campaign "
@@ -462,125 +370,71 @@ def _load_shard_checkpoint(
 class ParallelCampaign:
     """Shards one campaign's generated stream across worker processes.
 
-    Constructor mirrors :class:`~repro.core.campaign.Campaign` where the
-    options make sense for a sharded run.  ``faults`` must be ``None`` or a
-    CLI spec string (injectors don't cross process boundaries);
-    ``stop_when_all_found`` is unsupported (its early exit depends on
-    cross-shard execution order).
+    Takes the same :class:`CampaignConfig` as
+    :class:`~repro.core.campaign.Campaign` (``config.jobs`` workers; a
+    *dialect* instance or name fills in an empty ``config.dialect``).
+    ``faults`` must be ``None`` or a spec (string/FaultPlan): injectors
+    don't cross process boundaries.  ``stop_when_all_found`` is
+    unsupported (its early exit depends on cross-shard execution order).
     """
 
     def __init__(
         self,
         dialect: Union[Dialect, str, None] = None,
-        jobs: Any = _UNSET,
-        budget: Any = _UNSET,
-        enable_coverage: Any = _UNSET,
-        seed: Any = _UNSET,
-        max_partners: Any = _UNSET,
-        faults: Any = _UNSET,
-        fault_seed: Any = _UNSET,
-        checkpoint_path: Any = _UNSET,
-        checkpoint_every: Any = _UNSET,
-        statement_deadline: Any = _UNSET,
-        statement_cache: Any = _UNSET,
-        oracles: Any = _UNSET,
-        budgets: Any = _UNSET,
-        sandbox: Any = _UNSET,
+        *,
         config: Optional[CampaignConfig] = None,
     ) -> None:
         dialect_name = dialect.name if isinstance(dialect, Dialect) else (dialect or "")
-        config = resolve_config(
-            "ParallelCampaign",
-            config,
-            {
-                "jobs": jobs,
-                "budget": budget,
-                "enable_coverage": enable_coverage,
-                "seed": seed,
-                "max_partners": max_partners,
-                "faults": faults,
-                "fault_seed": fault_seed,
-                "checkpoint_path": checkpoint_path,
-                "checkpoint_every": checkpoint_every,
-                "statement_deadline": statement_deadline,
-                "statement_cache": statement_cache,
-                "oracles": oracles,
-                "budgets": budgets,
-                "sandbox": sandbox,
-            },
-            dialect=dialect_name,
+        if config is None:
             # the historical ParallelCampaign default was two workers
-            defaults={"jobs": 2},
-        )
+            config = CampaignConfig(dialect=dialect_name, jobs=2)
+        elif not isinstance(config, CampaignConfig):
+            raise TypeError(
+                f"ParallelCampaign config= expects a CampaignConfig, got {config!r}"
+            )
+        elif dialect_name and not config.dialect:
+            config = config.replace(dialect=dialect_name)
+        if not config.dialect:
+            raise ValueError("ParallelCampaign needs a dialect (or config.dialect)")
         if isinstance(config.faults, FaultInjector):
             raise TypeError(
                 "ParallelCampaign needs a fault *spec* (string/FaultPlan), "
                 "not a FaultInjector: each worker builds its own injector"
             )
         self.config = config
-        self.sandbox_config = config.sandbox
-        self.budgets_spec = (
-            config.budgets.to_spec()
-            if config.budgets is not None and config.budgets.enabled
-            else None
+        self.dialect = (
+            dialect if isinstance(dialect, Dialect) else dialect_by_name(config.dialect)
         )
-        if isinstance(dialect, Dialect):
-            self.dialect = dialect
-        else:
-            if not config.dialect:
-                raise ValueError(
-                    "ParallelCampaign needs a dialect (or config.dialect)"
-                )
-            self.dialect = dialect_by_name(config.dialect)
-        self.jobs = config.jobs
-        self.budget = config.budget
-        self.enable_coverage = config.enable_coverage
-        self.seed = config.seed
-        self.max_partners = config.max_partners
-        self.faults_spec = fault_spec(config.faults)
-        self.fault_seed = config.fault_seed
-        self.checkpoint_path = config.checkpoint_path
-        self.checkpoint_every = config.checkpoint_every
-        self.statement_deadline = config.statement_deadline
-        self.statement_cache = config.statement_cache
-        self.compile_plans = config.compile
-        self.oracle_names = config.oracles
-        self.statement_family = config.statement_family
-        #: statement-transport measurement from the last run's warm-corpus
-        #: handoff (None when nothing was shipped)
-        self.last_transport: Optional[TransportStats] = None
         #: test hook — see ``_run_shard``'s ``stop_after``
         self._stop_after: Optional[int] = None
 
     # ------------------------------------------------------------------
     def run(self, resume: bool = False) -> CampaignResult:
+        config = self.config
         wall_started = time.monotonic()
         # ---- parent: seed phase (positions 0..S-1) -------------------
         # pipeline before runner: logic-flaw installation must precede
         # server construction, exactly as in the serial campaign
-        pipeline = build_pipeline(self.dialect, self.oracle_names)
+        pipeline = build_pipeline(self.dialect, config.oracles)
         clock = SimulatedClock()
-        injector = make_fault_injector(
-            self.faults_spec, seed=self.fault_seed, clock=clock
-        )
+        injector = make_fault_injector(config.faults, seed=config.fault_seed, clock=clock)
         runner = Runner(
             self.dialect,
-            enable_coverage=self.enable_coverage,
+            enable_coverage=config.enable_coverage,
             faults=injector,
             clock=clock,
-            watchdog=Watchdog(clock, deadline_seconds=self.statement_deadline),
-            statement_cache=self.statement_cache,
-            budgets=self.budgets_spec,
-            sandbox=self.sandbox_config,
-            compile_plans=self.compile_plans,
+            watchdog=Watchdog(clock, deadline_seconds=config.statement_deadline),
+            statement_cache=config.statement_cache,
+            budgets=config.budgets,
+            sandbox=config.sandbox,
             bootstrap_sql=(
-                TABLE_SETUP if self.statement_family == "predicate" else ()
+                TABLE_SETUP if config.statement_family == "predicate" else ()
             ),
         )
         runner.capture_fingerprints = pipeline.needs_fingerprints
         containment: Optional[ContainmentState] = (
-            ContainmentState.from_config(self.sandbox_config)
-            if self.sandbox_config is not None
+            ContainmentState.from_config(config.sandbox)
+            if config.sandbox is not None
             else None
         )
         result = CampaignResult(dialect=self.dialect.name)
@@ -593,7 +447,7 @@ class ParallelCampaign:
         quarantine_reason = ""
         try:
             for seed_obj in seeds:
-                if position >= self.budget:
+                if position >= config.budget:
                     break
                 sql = f"SELECT {seed_obj.sql};"
                 info = CaseInfo("seed", seed_obj.function, seed_obj.family)
@@ -632,67 +486,38 @@ class ParallelCampaign:
 
         # ---- fan out the generated stream ----------------------------
         reports: List[Dict[str, Any]] = []
-        self.last_transport = None
-        if not quarantined and seed_count < self.budget:
+        if not quarantined and seed_count < config.budget:
             containment_seed = (
                 containment.export_state() if containment is not None else None
             )
-            # everything bulky crosses the process boundary through the
-            # byte-level transport in this directory: the warm corpus in,
-            # the packed shard reports out (see repro.perf.transport)
-            with tempfile.TemporaryDirectory(prefix="repro-shards-") as tdir:
-                warm_corpus_path: Optional[str] = None
-                parent_cache = runner.server.stmt_cache
-                if runner.sandbox is None and parent_cache is not None:
-                    warm_sql = parent_cache.export_warm_sql(self.dialect.name)
-                    if warm_sql:
-                        warm_corpus_path = os.path.join(tdir, "warm.stmt")
-                        with open(warm_corpus_path, "wb") as fh:
-                            fh.write(pack_statements(warm_sql))
-                        self.last_transport = transport_stats(warm_sql)
-                shard_args = [
-                    (
-                        self.dialect.name, worker, self.jobs, self.seed,
-                        self.budget, seed_count, return_types, self.max_partners,
-                        self.enable_coverage, self.faults_spec, self.fault_seed,
-                        self.statement_deadline, self.statement_cache,
-                        self.checkpoint_path, self.checkpoint_every, resume,
-                        self.oracle_names, self._stop_after,
-                        self.budgets_spec, self.sandbox_config, containment_seed,
-                        self.compile_plans, warm_corpus_path, tdir,
-                        self.statement_family,
-                    )
-                    for worker in range(self.jobs)
-                ]
-                if self.jobs == 1:
-                    reports = [_run_shard(*shard_args[0])]
+            shard_args = [
+                (
+                    config, worker, seed_count, return_types, resume,
+                    containment_seed, self._stop_after,
+                )
+                for worker in range(config.jobs)
+            ]
+            if config.jobs == 1:
+                reports = [_run_shard(*shard_args[0])]
+            else:
+                ctx = multiprocessing.get_context(
+                    "fork" if "fork" in multiprocessing.get_all_start_methods()
+                    else "spawn"
+                )
+                if config.sandbox is not None:
+                    # Pool workers are daemonic and may not spawn the
+                    # sandbox's own subprocess children; ProcessPoolExecutor
+                    # workers are not, so sandboxed shards go through it.
+                    with concurrent.futures.ProcessPoolExecutor(
+                        max_workers=config.jobs, mp_context=ctx
+                    ) as executor:
+                        futures = [
+                            executor.submit(_run_shard, *args) for args in shard_args
+                        ]
+                        reports = [future.result() for future in futures]
                 else:
-                    ctx = multiprocessing.get_context(
-                        "fork" if "fork" in multiprocessing.get_all_start_methods()
-                        else "spawn"
-                    )
-                    if self.sandbox_config is not None:
-                        # Pool workers are daemonic and may not spawn the
-                        # sandbox's own subprocess children; ProcessPoolExecutor
-                        # workers are not, so sandboxed shards go through it.
-                        with concurrent.futures.ProcessPoolExecutor(
-                            max_workers=self.jobs, mp_context=ctx
-                        ) as executor:
-                            futures = [
-                                executor.submit(_run_shard, *spec)
-                                for spec in shard_args
-                            ]
-                            reports = [future.result() for future in futures]
-                    else:
-                        with ctx.Pool(processes=self.jobs) as pool:
-                            reports = pool.starmap(_run_shard, shard_args)
-                # inflate the path envelopes while the directory still exists
-                reports = [
-                    read_packed(report["packed_path"])
-                    if "packed_path" in report
-                    else report
-                    for report in reports
-                ]
+                    with ctx.Pool(processes=config.jobs) as pool:
+                        reports = pool.starmap(_run_shard, shard_args)
 
         # ---- merge ----------------------------------------------------
         merged = self._merge(
@@ -738,8 +563,6 @@ class ParallelCampaign:
                 fault_counters[kind] = fault_counters.get(kind, 0) + count
         cache_hits = seed_runner.cache_hits
         cache_misses = seed_runner.cache_misses
-        compiled_executions = seed_runner.compiled_executions
-        compile_fallbacks = seed_runner.compile_fallbacks
         for report in reports:
             executed += report["shard_executed"]
             triggered |= set(report["triggered"])
@@ -753,8 +576,6 @@ class ParallelCampaign:
                 fault_counters[kind] = fault_counters.get(kind, 0) + count
             cache_hits += report["cache_hits"]
             cache_misses += report["cache_misses"]
-            compiled_executions += report.get("compiled_executions", 0)
-            compile_fallbacks += report.get("compile_fallbacks", 0)
             if report["quarantined"]:
                 quarantined = True
                 quarantine_reason = quarantine_reason or report["quarantine_reason"]
@@ -775,8 +596,6 @@ class ParallelCampaign:
         result.quarantine_reason = quarantine_reason
         result.cache_hits = cache_hits
         result.cache_misses = cache_misses
-        result.compiled_executions = compiled_executions
-        result.compile_fallbacks = compile_fallbacks
         if containment is not None:
             # fold the shards' containment outcomes into the parent's
             # seed-phase state for the supervisor summary
@@ -812,45 +631,46 @@ class ParallelCampaign:
 
 def run_parallel_campaign(
     dialect_name: Optional[str] = None,
-    jobs: Any = _UNSET,
-    budget: Any = _UNSET,
-    enable_coverage: Any = _UNSET,
-    seed: Any = _UNSET,
-    faults: Any = _UNSET,
-    fault_seed: Any = _UNSET,
-    checkpoint: Any = _UNSET,
-    checkpoint_every: Any = _UNSET,
+    jobs: Optional[int] = None,
+    budget: Optional[int] = None,
+    enable_coverage: Optional[bool] = None,
+    seed: Optional[int] = None,
+    faults: Any = None,
+    fault_seed: Optional[int] = None,
+    checkpoint: Optional[str] = None,
+    checkpoint_every: Optional[int] = None,
     resume: bool = False,
-    statement_cache: Any = _UNSET,
-    oracles: OracleSpec = _UNSET,
-    budgets: Any = _UNSET,
-    sandbox: Any = _UNSET,
+    statement_cache: Optional[bool] = None,
+    oracles: OracleSpec = None,
+    budgets: Any = None,
+    sandbox: Any = None,
     config: Optional[CampaignConfig] = None,
 ) -> CampaignResult:
-    """Convenience wrapper mirroring :func:`repro.core.run_campaign`.
-
-    Like ``run_campaign`` this is the compatibility surface: legacy
-    keywords fold into a :class:`CampaignConfig` without a warning.
-    """
-    config = resolve_config(
-        "run_parallel_campaign",
-        config,
-        {
-            "jobs": jobs,
-            "budget": budget,
-            "enable_coverage": enable_coverage,
-            "seed": seed,
-            "faults": faults,
-            "fault_seed": fault_seed,
-            "checkpoint_path": checkpoint,
-            "checkpoint_every": checkpoint_every,
-            "statement_cache": statement_cache,
-            "oracles": oracles,
-            "budgets": budgets,
-            "sandbox": sandbox,
-        },
-        dialect=dialect_name or "",
-        defaults={"jobs": 2},
-        warn=False,
-    )
-    return ParallelCampaign(config=config).run(resume=resume)
+    """Convenience wrapper mirroring :func:`repro.core.run_campaign`
+    (keyword options or ``config=``, not both; ``jobs`` defaults to 2)."""
+    options = {
+        key: value
+        for key, value in (
+            ("jobs", jobs),
+            ("budget", budget),
+            ("enable_coverage", enable_coverage),
+            ("seed", seed),
+            ("faults", faults),
+            ("fault_seed", fault_seed),
+            ("checkpoint_path", checkpoint),
+            ("checkpoint_every", checkpoint_every),
+            ("statement_cache", statement_cache),
+            ("oracles", oracles),
+            ("budgets", budgets),
+            ("sandbox", sandbox),
+        )
+        if value is not None
+    }
+    if config is None:
+        config = CampaignConfig(**{"dialect": dialect_name or "", "jobs": 2, **options})
+    elif options:
+        raise TypeError(
+            f"run_parallel_campaign takes config= or keyword options, not "
+            f"both (got config= plus {sorted(options)})"
+        )
+    return ParallelCampaign(dialect_name, config=config).run(resume=resume)

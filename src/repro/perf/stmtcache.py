@@ -44,18 +44,6 @@ cold parse):
   the cache.
 * Any non-SELECT statement (DDL, DML, ``SET`` — which can flip
   ``fold_functions``) and every server restart invalidate the whole cache.
-
-Compiled plans (the third acceleration layer, see ``repro.perf.compiler``):
-entries in both tiers lazily attach a **compiled closure program** the first
-time they are fetched with a context.  Exact-tier entries always qualify
-(they store the final optimized tree, executed as-is); template-tier
-entries qualify only when ``needs_optimize`` is False — a template with a
-fold site re-optimizes per rebinding into fresh nodes under
-``stage="optimize"``, and moving that work into compiled execution would
-re-attribute optimize-stage crashes to the execute stage.  Compilation is
-skipped (and counted in ``compile_fallbacks``) while a resource governor is
-attached — the governor's per-node budget hooks live in the interpreter —
-and when a sandbox worker force-disables it.
 """
 
 from __future__ import annotations
@@ -174,27 +162,15 @@ def _has_fold_site(stmt: n.Statement, ctx: "ExecutionContext") -> bool:
     return False
 
 
-#: sentinel marking an entry whose compilation has not been attempted yet
-#: (distinct from None, which records a compile that declined)
-_UNCOMPILED = object()
-
-
 class _Template:
     """One parameterized parse template."""
 
-    __slots__ = ("stmt", "slots", "needs_optimize", "compiled", "plan", "_bound")
+    __slots__ = ("stmt", "slots", "needs_optimize", "_bound")
 
     def __init__(self, stmt: n.Statement, slots: List[n.Expr], needs_optimize: bool):
         self.stmt = stmt
         self.slots = slots
         self.needs_optimize = needs_optimize
-        #: closure program over ``stmt`` — sound across rebindings because
-        #: literal closures are cell references into the very nodes
-        #: :meth:`rebind` mutates
-        self.compiled = _UNCOMPILED
-        #: reusable Plan carrying the compiled program (set on the first
-        #: successful compile; Plans are read-only to their consumers)
-        self.plan: Optional["Plan"] = None
         #: identity of the texts list currently spliced into the slots —
         #: a repeat of the same exact-tier entry skips the splice entirely
         self._bound: Optional[Sequence[str]] = None
@@ -232,25 +208,14 @@ class _Template:
         return self.stmt
 
 
-class _ExactEntry:
-    """One exact-tier entry: the optimized tree plus its compiled program."""
-
-    __slots__ = ("stmt", "compiled", "plan")
-
-    def __init__(self, stmt: n.Statement):
-        self.stmt = stmt
-        self.compiled = _UNCOMPILED
-        self.plan: Optional["Plan"] = None
-
-
 class _TemplateRef:
     """An exact-tier entry that memoizes a template probe.
 
     Template hits promote into the exact tier as (template, literal texts)
     so a byte-identical repeat skips lexing and fingerprinting entirely —
     rebinding a handful of saved literal texts is all that's left.  Shares
-    the template's tree and compiled program; always consistent because
-    both tiers are only ever invalidated together.
+    the template's tree; always consistent because both tiers are only
+    ever invalidated together.
     """
 
     __slots__ = ("template", "texts")
@@ -261,18 +226,13 @@ class _TemplateRef:
 
 
 class Plan:
-    """What a cache probe hands back to ``Connection.execute``.
+    """What a cache probe hands back to ``Connection.execute``."""
 
-    When ``compiled`` is not None the connection calls it directly
-    (``compiled(ctx) -> Result``) instead of walking the interpreter.
-    """
+    __slots__ = ("stmt", "needs_optimize")
 
-    __slots__ = ("stmt", "needs_optimize", "compiled")
-
-    def __init__(self, stmt: n.Statement, needs_optimize: bool, compiled=None):
+    def __init__(self, stmt: n.Statement, needs_optimize: bool):
         self.stmt = stmt
         self.needs_optimize = needs_optimize
-        self.compiled = compiled
 
 
 class StatementCache:
@@ -289,22 +249,17 @@ class StatementCache:
     ) -> None:
         self.capacity = capacity
         self.template_capacity = template_capacity
-        self._exact: "OrderedDict[Tuple[str, str], n.Statement]" = OrderedDict()
+        #: values are optimized trees, or _TemplateRefs for promoted
+        #: template hits
+        self._exact: "OrderedDict[Tuple[str, str], object]" = OrderedDict()
         self._templates: "OrderedDict[Tuple[str, str], _Template]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        #: plan compilation (repro.perf.compiler); default-on, the runner
-        #: clears it for --no-compile and sandbox workers force it off
-        self.compile_enabled = True
-        #: True when compilation was disabled *against* the caller's wish
-        #: (sandbox worker with compile requested) — makes every would-be
-        #: compiled hit count as a fallback, like the governor does
-        self.compile_forced_off = False
-        #: hits that wanted compiled execution but fell back to the
-        #: interpreter (governor attached, or compilation forced off)
+        #: always zero: plans are interpreted.  Kept only because the
+        #: traced benchmark (perfbench/layers.py) reads them, until a
+        #: benchmark change drops them.
         self.compile_fallbacks = 0
-        #: hits served by a compiled closure program
         self.compiled_executions = 0
         #: probe scratch carried from a miss into the following insert
         self._probe_sql: Optional[str] = None
@@ -321,15 +276,8 @@ class StatementCache:
         return len(self._exact) + len(self._templates)
 
     # ------------------------------------------------------------------
-    def fetch(
-        self, dialect: str, sql: str, ctx: Optional["ExecutionContext"] = None
-    ) -> Optional[Plan]:
-        """Look *sql* up; None means the caller must parse (a miss).
-
-        With a *ctx*, hits resolve their compiled closure program (built
-        lazily on the first hit — insertion never pays for statements that
-        are never reused).
-        """
+    def fetch(self, dialect: str, sql: str) -> Optional[Plan]:
+        """Look *sql* up; None means the caller must parse (a miss)."""
         exact_key = (dialect, sql)
         entry = self._exact.get(exact_key)
         if entry is not None:
@@ -339,37 +287,10 @@ class StatementCache:
             self.hits += 1
             if entry.__class__ is _TemplateRef:
                 template = entry.template
-                stmt = template.rebind_texts(entry.texts)
-                if template.needs_optimize:
-                    return Plan(stmt, needs_optimize=True)
-                plan = template.plan
-                if (
-                    plan is not None
-                    and ctx is not None
-                    and self.compile_enabled
-                    and ctx.governor is None
-                ):
-                    self.compiled_executions += 1
-                    return plan
                 return Plan(
-                    stmt,
-                    needs_optimize=False,
-                    compiled=self._resolve_compiled(template, ctx),
+                    template.rebind_texts(entry.texts), template.needs_optimize
                 )
-            plan = entry.plan
-            if (
-                plan is not None
-                and ctx is not None
-                and self.compile_enabled
-                and ctx.governor is None
-            ):
-                self.compiled_executions += 1
-                return plan
-            return Plan(
-                entry.stmt,
-                needs_optimize=False,
-                compiled=self._resolve_compiled(entry, ctx),
-            )
+            return Plan(entry, needs_optimize=False)
         try:
             tokens = tokenize(sql)
         except LexError:
@@ -389,17 +310,9 @@ class StatementCache:
             )
             while len(self._exact) > self.capacity:
                 self._exact.popitem(last=False)
-            stmt = template.rebind(lit_tokens)
-            if template.needs_optimize:
-                # per-rebinding optimization happens in the connection (the
-                # fold must keep raising under stage="optimize"); the fresh
-                # trees it produces are never worth compiling
-                return Plan(stmt, needs_optimize=True)
-            return Plan(
-                stmt,
-                needs_optimize=False,
-                compiled=self._resolve_compiled(template, ctx),
-            )
+            # with needs_optimize, per-rebinding optimization happens in the
+            # connection (the fold must keep raising under stage="optimize")
+            return Plan(template.rebind(lit_tokens), template.needs_optimize)
         self.misses += 1
         # stash the lex work for the caller's parse (probe_tokens) and the
         # following insert(), so a miss never lexes or fingerprints twice
@@ -407,51 +320,6 @@ class StatementCache:
         self._probe_tokens = tokens
         self._probe_fingerprint = fingerprint
         return None
-
-    def _resolve_compiled(self, entry, ctx: Optional["ExecutionContext"]):
-        """The entry's closure program, or None to take the interpreter.
-
-        Compiles on first resolution and memoizes the result (including a
-        declined compile, stored as None).  Governed contexts never run
-        compiled code — the governor's budget hooks tick inside
-        ``Evaluator.eval`` — and sandbox workers force compilation off;
-        both cases count as fallbacks when compilation was wanted.
-        """
-        if ctx is None:
-            return None
-        if not self.compile_enabled:
-            if self.compile_forced_off:
-                self.compile_fallbacks += 1
-            return None
-        if ctx.governor is not None:
-            self.compile_fallbacks += 1
-            return None
-        compiled = entry.compiled
-        if compiled is _UNCOMPILED:
-            # deferred import: repro.engine.__init__ imports the connection,
-            # which imports this module; the compiler imports the engine
-            from .compiler import compile_statement
-
-            try:
-                compiled = compile_statement(entry.stmt, ctx)
-            except Exception:
-                compiled = None
-            entry.compiled = compiled
-        if compiled is None:
-            # the compiler declined this statement shape (or raised): every
-            # execution that wanted a closure but takes the interpreter is a
-            # fallback, so the compiled-vs-fallback share divides executions,
-            # not statement shapes
-            self.compile_fallbacks += 1
-            return None
-        if entry.plan is None:
-            # memoized so warm hits skip Plan construction *and* this
-            # resolver entirely; the closure re-reads the literal cells
-            # on every call, so one Plan is sound across rebindings
-            entry.plan = Plan(entry.stmt, needs_optimize=False,
-                              compiled=compiled)
-        self.compiled_executions += 1
-        return compiled
 
     def probe_tokens(self, sql: str) -> Optional[List[Token]]:
         """The token stream lexed by the last (missing) :meth:`fetch`.
@@ -478,7 +346,7 @@ class StatementCache:
         while parse/optimize failures never reach here.
         """
         exact_key = (dialect, sql)
-        self._exact[exact_key] = _ExactEntry(optimized)
+        self._exact[exact_key] = optimized
         self._exact.move_to_end(exact_key)
         while len(self._exact) > self.capacity:
             self._exact.popitem(last=False)
@@ -498,59 +366,6 @@ class StatementCache:
         self._templates.move_to_end(template_key)
         while len(self._templates) > self.template_capacity:
             self._templates.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # warm-start support (parallel shard workers reuse the parent's cache)
-    # ------------------------------------------------------------------
-    def export_warm_sql(self, dialect: str) -> List[str]:
-        """The exact-tier statement texts for *dialect*, LRU order.
-
-        A parallel campaign's parent exports these after its seed phase so
-        shard workers can :meth:`warm` their caches instead of re-parsing
-        the shared template prefix cold.
-        """
-        return [sql for (d, sql) in self._exact if d == dialect]
-
-    def warm(self, dialect: str, sql: str, ctx: "ExecutionContext") -> bool:
-        """Pre-populate both tiers from an exported statement text.
-
-        Re-derives parse + optimize exactly as a cold miss would (same
-        per-statement RNG reseed, so probabilistic dialect behaviour is
-        replayed bit-for-bit), then feeds :meth:`insert` directly — the
-        hit/miss counters are untouched, which is the whole point of
-        warming.  Exported statements parsed and optimized cleanly in the
-        exporting process under the same dialect/seed/config, so failures
-        here are unexpected; any failure (including a deterministic
-        optimize-stage crash replay) just skips the entry, leaving the
-        statement to take the normal cold path when the stream reaches it.
-        """
-        from ..engine.errors import CrashSignal
-        from ..engine.optimizer import optimize_statement
-        from ..sqlast import parse_statements
-
-        if (dialect, sql) in self._exact:
-            return True
-        previous_stage = ctx.stage
-        try:
-            ctx.reseed_statement_rng(sql)
-            tokens = tokenize(sql)
-            fingerprint = _fingerprint(tokens)
-            statements = parse_statements(sql, tokens=tokens)
-            if len(statements) != 1 or not isinstance(
-                statements[0], (n.Select, n.SetOp)
-            ):
-                return False
-            parsed = statements[0]
-            optimized = optimize_statement(ctx, parsed)
-        except (Exception, CrashSignal):
-            return False
-        finally:
-            ctx.stage = previous_stage
-        self._probe_sql = sql
-        self._probe_tokens = tokens
-        self._probe_fingerprint = fingerprint
-        self.insert(dialect, sql, parsed, optimized, ctx)
-        return True
 
     # ------------------------------------------------------------------
     def invalidate_all(self, reason: str = "") -> None:
@@ -575,6 +390,4 @@ class StatementCache:
             "invalidations": self.invalidations,
             "exact_entries": len(self._exact),
             "template_entries": len(self._templates),
-            "compiled_executions": self.compiled_executions,
-            "compile_fallbacks": self.compile_fallbacks,
         }

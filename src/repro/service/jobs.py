@@ -327,6 +327,10 @@ class Job:
         config = row.get("config")
         if isinstance(config, str):
             config = json.loads(config)
+        if config:
+            # rows journaled before the plan compiler was removed carry its
+            # retired switch; it never changed results, so drop it
+            config = {k: v for k, v in config.items() if k != "compile"}
         job = cls(
             row["job_id"],
             row["kind"],

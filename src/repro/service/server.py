@@ -66,6 +66,7 @@ Storage failure handling (the chaos-harness layer):
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -241,6 +242,11 @@ class BugService:
 
     def serve_forever(self) -> None:
         """Foreground mode (``repro serve``): block until interrupted."""
+        # everything built so far (modules, registries, the loaded journal)
+        # lives as long as the process; frozen, it is no longer rescanned by
+        # every full collection, which otherwise lands inside a campaign
+        # statement and sets the service's statement-latency tail
+        gc.freeze()
         self.pool.start()
         try:
             self._httpd.serve_forever()

@@ -1,37 +1,24 @@
-"""Differential tests for the plan→closure compiler and shard transport.
+"""Warm-path differential and sharded-parity checks.
 
-The compiler (``repro.perf.compiler``) is a *transparent* optimization:
-every statement must produce byte-identical observable behaviour whether
-it runs through a compiled closure or the tree-walking interpreter —
-same result values (checked via result-set fingerprints), same outcome
-classification, same error messages, and the same campaign signature
-serial or sharded.  The transport (``repro.perf.transport``) must
-reconstruct statement streams byte-for-byte and round-trip shard report
-value trees exactly.
+These tests were written for the plan→closure compiler, which has been
+deleted: every statement now runs through the one tree-walking
+interpreter, and a warm statement-cache hit only skips parsing and
+planning.  The checks still hold and still matter under the old names —
+a warm repeat must behave byte-identically to a cold, uncached run
+(same classification, same error message, same result-set fingerprint),
+and a ``--jobs 4`` campaign must reproduce the serial signature.
 """
 
 import itertools
 
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig, run_campaign
+from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.collect import SeedCollector
 from repro.core.patterns import PatternEngine
 from repro.core.runner import Runner
 from repro.dialects import all_dialect_classes, bugs_for, dialect_by_name
 from repro.perf.parallel import ParallelCampaign
-from repro.perf.stmtcache import StatementCache
-from repro.perf.transport import (
-    StatementDecoder,
-    StatementEncoder,
-    TransportError,
-    decode_value,
-    encode_value,
-    pack_statements,
-    split_literals,
-    transport_stats,
-    unpack_statements,
-)
 
 FAULT_SPEC = "hang=0.01,slow=0.02,drop=0.01,flaky=0.01,restart_fail=0.1"
 ALL_ORACLES = ("crash", "differential", "conformance")
@@ -59,7 +46,7 @@ def _pattern_sample(dialect, per_pattern=5, pattern_target=10):
 
 
 # ---------------------------------------------------------------------------
-# compiled vs interpreted: per-statement differential
+# warm cache-hit path vs cold interpretation: per-statement differential
 # ---------------------------------------------------------------------------
 class TestCompiledDifferential:
     @pytest.mark.parametrize(
@@ -69,48 +56,27 @@ class TestCompiledDifferential:
     def test_compiled_and_interpreted_outcomes_identical(self, dialect_name):
         """Every boundary pattern, every dialect: identical classification
         *and* identical result values (fingerprints), run twice so the
-        second pass exercises the warm compiled fast path.  Crashing PoCs
+        second pass is served from the warm statement cache.  Crashing PoCs
         are spliced in so both sides also restart mid-stream."""
         dialect = dialect_by_name(dialect_name)
         buckets = _pattern_sample(dialect)
         statements = [sql for bucket in buckets.values() for sql in bucket]
         statements[10:10] = [bug.poc for bug in bugs_for(dialect_name)[:3]]
-        compiled = Runner(dialect_by_name(dialect_name))
-        interpreted = Runner(dialect_by_name(dialect_name), compile_plans=False)
-        compiled.capture_fingerprints = True
-        interpreted.capture_fingerprints = True
+        warm = Runner(dialect_by_name(dialect_name))
+        cold = Runner(dialect_by_name(dialect_name), statement_cache=False)
+        warm.capture_fingerprints = True
+        cold.capture_fingerprints = True
         for sql in statements * 2:
-            a = compiled.run(sql)
-            b = interpreted.run(sql)
+            a = warm.run(sql)
+            b = cold.run(sql)
             assert _outcome_key(a) == _outcome_key(b), sql
             assert a.fingerprint == b.fingerprint, sql
-        assert interpreted.compiled_executions == 0
-
-    def test_warm_repeats_actually_run_compiled(self):
-        runner = Runner(dialect_by_name("duckdb"))
-        for _ in range(3):
-            runner.run("SELECT ABS(-5);")
-            runner.run("SELECT UPPER('abc');")
-        assert runner.compiled_executions > 0
-        assert runner.compile_fallbacks == 0
-
-    def test_compile_flag_disables_without_counting_fallbacks(self):
-        runner = Runner(dialect_by_name("duckdb"), compile_plans=False)
-        for _ in range(3):
-            runner.run("SELECT ABS(-5);")
-        assert runner.compiled_executions == 0
-        assert runner.compile_fallbacks == 0
-
-    def test_sandboxed_execution_falls_back_with_counter(self):
-        """Sandboxed workers always interpret; the health surface reports
-        the suppressed compilations as interpreter fallbacks."""
-        result = run_campaign("duckdb", budget=60, seed=3, sandbox=True)
-        assert result.compiled_executions == 0
-        assert result.compile_fallbacks > 0
+        assert warm.cache_hits > 0
+        assert cold.cache_hits == 0
 
 
 # ---------------------------------------------------------------------------
-# compiled vs interpreted: campaign signatures
+# sharded vs serial: campaign signatures
 # ---------------------------------------------------------------------------
 class TestCompiledSignatureParity:
     def _serial_signature(self, **kw):
@@ -121,24 +87,14 @@ class TestCompiledSignatureParity:
         cfg = CampaignConfig(dialect="duckdb", budget=600, seed=7, jobs=jobs, **kw)
         return ParallelCampaign(config=cfg).run()
 
-    def test_serial_compile_on_equals_off(self):
-        on = Campaign(
-            dialect_by_name("duckdb"), config=CampaignConfig(budget=600, seed=7)
-        ).run()
-        off = Campaign(
-            dialect_by_name("duckdb"),
-            config=CampaignConfig(budget=600, seed=7, compile=False),
-        ).run()
-        assert on.signature() == off.signature()
-        assert on.compiled_executions > 0
-        assert off.compiled_executions == 0
-
     def test_jobs4_signature_equals_serial_compiled_and_not(self):
+        # one execution path is left; with and without the statement cache
+        # the sharded run must still reproduce the serial signature
         serial = self._serial_signature()
         assert self._parallel(4).signature() == serial
-        off = self._parallel(4, compile=False)
-        assert off.signature() == serial
-        assert off.compiled_executions == 0
+        uncached = self._parallel(4, statement_cache=False)
+        assert uncached.signature() == serial
+        assert uncached.cache_hits == 0
 
     def test_jobs4_signature_equals_serial_with_faults(self):
         serial = self._serial_signature(faults=FAULT_SPEC, fault_seed=11)
@@ -149,110 +105,3 @@ class TestCompiledSignatureParity:
         serial = self._serial_signature(oracles=ALL_ORACLES)
         parallel = self._parallel(4, oracles=ALL_ORACLES)
         assert parallel.signature() == serial
-
-    def test_parallel_merges_compile_counters(self):
-        result = self._parallel(2)
-        assert result.compiled_executions > 0
-        assert result.compile_fallbacks == 0
-
-
-# ---------------------------------------------------------------------------
-# warm-corpus handoff
-# ---------------------------------------------------------------------------
-class TestWarmCorpus:
-    def test_export_and_warm_reproduce_the_hit_path(self):
-        dialect = dialect_by_name("duckdb")
-        source = Runner(dialect)
-        for sql in ("SELECT ABS(-5);", "SELECT UPPER('abc');"):
-            source.run(sql)
-        corpus = source.server.stmt_cache.export_warm_sql(dialect.name)
-        assert "SELECT ABS(-5);" in corpus
-
-        target = Runner(dialect_by_name("duckdb"))
-        cache = target.server.stmt_cache
-        for sql in corpus:
-            cache.warm(dialect.name, sql, target.server.ctx)
-        before = cache.hits
-        out = target.run("SELECT ABS(-5);")
-        assert out.kind == "ok"
-        assert cache.hits == before + 1
-
-    def test_parallel_run_records_transport_stats(self):
-        campaign = ParallelCampaign(
-            config=CampaignConfig(dialect="duckdb", budget=400, seed=3, jobs=2)
-        )
-        campaign.run()
-        stats = campaign.last_transport
-        assert stats is not None
-        assert stats.statements > 0
-        # the dictionary transport must beat pickling the same stream
-        assert stats.warm_bytes < stats.pickle_bytes
-
-
-# ---------------------------------------------------------------------------
-# the shard transport
-# ---------------------------------------------------------------------------
-class TestTransport:
-    def test_value_codec_round_trips(self):
-        values = [
-            None, True, False, 0, 1, -1, 63, 64, -64, 2**70, -(2**70),
-            3.14, float("inf"), "", "abc", "qu'ote", b"", b"\x00\xff",
-            [1, [2, "x"], None], {"a": 1, "b": [True, {"c": 0.5}]},
-        ]
-        for value in values:
-            assert decode_value(encode_value(value)) == value
-        assert decode_value(encode_value((1, 2))) == [1, 2]
-
-    def test_value_codec_rejects_garbage(self):
-        with pytest.raises(TransportError):
-            decode_value(b"Z")
-        with pytest.raises(TransportError):
-            decode_value(encode_value([1, 2]) + b"x")
-        with pytest.raises(TransportError):
-            encode_value(object())
-
-    def test_split_literals_is_byte_exact(self):
-        for sql in (
-            "SELECT ABS(-9223372036854775808);",
-            "SELECT CONCAT('x''y', 'z');",
-            "SELECT ROUND(1.5e308, 2);",
-            "SELECT LENGTH(X'deadbeef');",
-            "SELECT 1;",
-        ):
-            segments, literals = split_literals(sql)
-            rebuilt = segments[0]
-            for literal, segment in zip(literals, segments[1:]):
-                rebuilt += literal + segment
-            assert rebuilt == sql
-
-    def test_statement_pack_round_trips_including_raw_escape(self):
-        statements = [
-            "SELECT ABS(-5);",
-            "SELECT ABS(-7);",             # same template, new literal
-            "SELECT CONCAT('a', 'b');",
-            "SELECT 'unterminated",        # lex failure -> raw escape
-            "",
-        ]
-        assert unpack_statements(pack_statements(statements)) == statements
-
-    def test_stateful_batches_share_the_dictionary(self):
-        statements = ["SELECT ABS(-5);", "SELECT UPPER('abc');"]
-        encoder, decoder = StatementEncoder(), StatementDecoder()
-        first = encoder.encode_batch(statements)
-        second = encoder.encode_batch(statements)
-        assert decoder.decode_batch(first) == statements
-        assert decoder.decode_batch(second) == statements
-        # warm batch ships references only — strictly smaller
-        assert len(second) < len(first)
-
-    def test_generated_stream_reduction_vs_pickle(self):
-        """The acceptance bar: steady-state transport cost per statement
-        is >=5x below pickling the same stream."""
-        dialect = dialect_by_name("duckdb")
-        engine = PatternEngine(SeedCollector(dialect).collect())
-        stream = [
-            case.sql for case in itertools.islice(engine.generate_all(), 800)
-        ]
-        stats = transport_stats(stream)
-        assert stats.warm_reduction >= 5.0, stats
-        assert stats.cold_reduction > 1.0, stats

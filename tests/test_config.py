@@ -1,10 +1,11 @@
-"""The CampaignConfig object API and the legacy-kwarg deprecation shim.
+"""The CampaignConfig object API.
 
 Covers: frozen-ness, __post_init__ normalization (oracle names, budget
 specs, sandbox coercion), validation errors that speak config *field*
 names (flag spellings are the CLI's job), to_dict/from_dict round-trips,
-DeprecationWarning on legacy keyword arguments (and silence on config=),
-and bug-set/signature parity between the two calling conventions.
+campaign constructors that take options only as ``config=``, and
+bug-set/signature parity between ``run_campaign``'s keyword options and
+a config object.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import warnings
 import pytest
 
 from repro.core import Campaign, CampaignConfig, run_campaign
-from repro.core.config import fault_spec, resolve_config
+from repro.core.config import fault_spec
 from repro.dialects import dialect_by_name
 from repro.perf.parallel import ParallelCampaign, run_parallel_campaign
 from repro.robustness import FaultPlan
@@ -117,9 +118,15 @@ class TestRoundTrip:
 
 
 class TestDeprecationShim:
-    def test_campaign_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="CampaignConfig"):
+    """The legacy-keyword shim is deleted: campaign constructors take
+    options only as ``config=``, while ``run_campaign`` keeps its keyword
+    surface and builds the config itself — with no warning on either."""
+
+    def test_legacy_keyword_options_raise(self):
+        with pytest.raises(TypeError):
             Campaign(dialect_by_name("duckdb"), budget=50)
+        with pytest.raises(TypeError):
+            ParallelCampaign(dialect="duckdb", jobs=2, budget=50)
 
     def test_campaign_config_object_is_silent(self):
         with warnings.catch_warnings():
@@ -129,14 +136,12 @@ class TestDeprecationShim:
                 config=CampaignConfig(dialect="duckdb", budget=50),
             )
 
-    def test_parallel_campaign_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="CampaignConfig"):
-            ParallelCampaign(dialect="duckdb", jobs=2, budget=50)
-
     def test_both_conventions_at_once_is_an_error(self):
         config = CampaignConfig(dialect="duckdb", budget=50)
-        with pytest.raises(TypeError, match="config"):
+        with pytest.raises(TypeError):
             Campaign(dialect_by_name("duckdb"), budget=50, config=config)
+        with pytest.raises(TypeError, match="config"):
+            run_campaign("duckdb", budget=50, config=config)
 
     def test_run_campaign_legacy_kwargs_stay_silent(self):
         # the module-level helpers are the compatibility surface: no
@@ -148,11 +153,10 @@ class TestDeprecationShim:
 
 class TestParity:
     def test_legacy_and_config_campaigns_agree(self):
-        legacy = run_campaign("duckdb", budget=600, seed=3)
-        config = run_campaign(
-            config=CampaignConfig(dialect="duckdb", budget=600, seed=3)
-        )
-        assert legacy.signature() == config.signature()
+        keywords = run_campaign("duckdb", budget=600, seed=3)
+        config = CampaignConfig(dialect="duckdb", budget=600, seed=3)
+        direct = Campaign(dialect_by_name("duckdb"), config=config).run()
+        assert keywords.signature() == direct.signature()
 
     def test_serial_and_sharded_config_campaigns_agree(self):
         serial = run_campaign(

@@ -364,19 +364,6 @@ class TestMetamorphicCampaign:
                               oracles=METAMORPHIC)
         assert result.findings == []
 
-    def test_predicate_repeats_count_compile_fallbacks(self):
-        # a byte-identical repeat serves the optimized tree from the
-        # exact cache tier and asks for a closure; the compiler declines
-        # FROM/WHERE shapes, and every declined execution is counted
-        runner = Runner(
-            dialect_by_name("duckdb"), bootstrap_sql=TABLE_SETUP
-        )
-        sql = NULL_SENSITIVE
-        for _ in range(3):
-            assert runner.run(sql).kind == "ok"
-        assert runner.compile_fallbacks == 2
-        assert runner.compiled_executions == 0
-
     def test_config_validates_statement_family(self):
         with pytest.raises(ValueError, match="statement_family"):
             CampaignConfig(dialect="duckdb", statement_family="join")

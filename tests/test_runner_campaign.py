@@ -225,25 +225,3 @@ class TestCampaign:
         assert a.signature() == b.signature()
         assert a.elapsed_seconds == b.elapsed_seconds
 
-
-class TestOracleShimDeprecation:
-    def test_legacy_import_path_warns_and_reexports(self):
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.core.oracle", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module("repro.core.oracle")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert deprecations, "importing repro.core.oracle must warn"
-        assert "repro.core.oracles" in str(deprecations[0].message)
-
-        from repro.core.oracles import CrashOracle as canonical_oracle
-        from repro.core.oracles import DiscoveredBug as canonical_bug
-
-        assert module.CrashOracle is canonical_oracle
-        assert module.DiscoveredBug is canonical_bug

@@ -181,6 +181,14 @@ class TestServiceEndToEnd:
         assert status == 400
         assert "mutually exclusive" in body["error"]
 
+    def test_retired_compile_key_is_refused_on_submit(self, service):
+        config = {"dialect": "duckdb", "budget": 300, "compile": True}
+        status, body = _request(
+            service, "POST", "/jobs", {"kind": "campaign", "config": config}
+        )
+        assert status == 400
+        assert "compile" in body["error"]
+
 
 class TestJobModel:
     def test_job_states_and_cursor(self):
@@ -520,6 +528,28 @@ class TestDurabilityAndRecovery:
             assert twin.summary["signature_digest"] == signature_digest(control)
         finally:
             pool.stop(drain=False)
+
+    def test_rows_journaled_with_the_retired_compile_key_still_boot(self, tmp_path):
+        # rows written while CampaignConfig still had a ``compile`` switch
+        # carry it; a data dir holding them must still load and recover
+        path = str(tmp_path / "jobs.sqlite")
+        journal = JobJournal(path)
+        store = JobStore(journal=journal)
+        config = CampaignConfig(dialect="duckdb", budget=300)
+        job = store.submit("campaign", config=config)
+        assert store.claim(owner="doomed") is not None  # then the host dies
+        row = job.to_row()
+        row["config"] = dict(row["config"], compile=True)
+        journal.update(row)
+        stored = json.loads(journal.load_rows()[0]["config"])
+        assert stored["compile"] is True
+        journal.close()
+
+        reborn = JobStore(journal=JobJournal(path), backoff_base=0.0)
+        assert reborn.recover()["requeued"] == [job.job_id]
+        twin = reborn.get(job.job_id)
+        assert twin.state == "queued"
+        assert twin.config == config
 
     def test_recovery_exhausts_retries_to_failed(self, tmp_path):
         path = str(tmp_path / "jobs.sqlite")
